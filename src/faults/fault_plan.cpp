@@ -62,54 +62,6 @@ LieMode lie_mode_for(FaultEvent::Kind kind) {
   }
 }
 
-void apply_event(const FaultEvent& ev, Network* net,
-                 std::vector<SimServer>* servers) {
-  switch (ev.kind) {
-    case FaultEvent::Kind::kServerCrash:
-      (*servers)[static_cast<std::size_t>(ev.server)].force_crash(ev.duration);
-      break;
-    case FaultEvent::Kind::kServerPin:
-      (*servers)[static_cast<std::size_t>(ev.server)].force_up(ev.duration);
-      break;
-    case FaultEvent::Kind::kGrayServer:
-      (*servers)[static_cast<std::size_t>(ev.server)].set_gray(ev.magnitude,
-                                                              ev.duration);
-      break;
-    case FaultEvent::Kind::kLinkDown:
-      net->block_link(ev.client, ev.server, ev.duration);
-      break;
-    case FaultEvent::Kind::kClientPartition:
-      if (ev.magnitude >= 1.0)
-        net->partition_client(ev.client, ev.duration);
-      else
-        net->partition_client_partial(ev.client, ev.magnitude, ev.duration);
-      break;
-    case FaultEvent::Kind::kServerPartition:
-      net->force_partition(ev.server, ev.duration);
-      break;
-    case FaultEvent::Kind::kLatencyBurst:
-      net->inject_latency_burst(ev.magnitude, ev.duration);
-      break;
-    case FaultEvent::Kind::kLossBurst:
-      net->inject_loss_burst(ev.magnitude, ev.duration);
-      break;
-    case FaultEvent::Kind::kLieWrongValue:
-    case FaultEvent::Kind::kLieStaleTs:
-    case FaultEvent::Kind::kLieEquivocate:
-    case FaultEvent::Kind::kLieFabricateAck:
-      (*servers)[static_cast<std::size_t>(ev.server)].set_lie(
-          lie_mode_for(ev.kind), ev.duration);
-      break;
-  }
-  const FaultMetrics& m = FaultMetrics::get();
-  m.injected.add(1);
-  m.for_kind(ev.kind).add(1);
-  obs::instant("faults", fault_kind_name(ev.kind), "target",
-               static_cast<std::uint64_t>(ev.server >= 0 ? ev.server
-                                          : ev.client >= 0 ? ev.client
-                                                           : 0));
-}
-
 }  // namespace
 
 const char* fault_kind_name(FaultEvent::Kind kind) {
@@ -325,19 +277,70 @@ FaultPlan make_byzantine_plan(int num_servers, int num_liars, double start,
   return plan;
 }
 
-void install_fault_plan(const FaultPlan& plan, Simulator* sim, Network* net,
-                        std::vector<SimServer>* servers) {
-  for (const FaultEvent& ev : plan.events) {
-    const double delay = ev.at > sim->now() ? ev.at - sim->now() : 0.0;
-    sim->schedule(delay, [ev, net, servers] { apply_event(ev, net, servers); });
+void apply_fault_event(const FaultEvent& ev, double now, ReplicaFleet fleet,
+                       Transport& transport) {
+  const auto server = [&fleet, &ev]() -> Replica& {
+    return fleet[static_cast<std::size_t>(ev.server)];
+  };
+  switch (ev.kind) {
+    case FaultEvent::Kind::kServerCrash:
+      server().force_crash(now, ev.duration);
+      break;
+    case FaultEvent::Kind::kServerPin:
+      server().force_up(now, ev.duration);
+      break;
+    case FaultEvent::Kind::kGrayServer:
+      server().set_gray(ev.magnitude, now, ev.duration);
+      break;
+    case FaultEvent::Kind::kLinkDown:
+      transport.block_link(ev.client, ev.server, now, ev.duration);
+      break;
+    case FaultEvent::Kind::kClientPartition:
+      if (ev.magnitude >= 1.0)
+        transport.partition_client(ev.client, now, ev.duration);
+      else
+        transport.partition_client_partial(ev.client, ev.magnitude, now,
+                                           ev.duration);
+      break;
+    case FaultEvent::Kind::kServerPartition:
+      transport.force_partition(ev.server, now, ev.duration);
+      break;
+    case FaultEvent::Kind::kLatencyBurst:
+      transport.inject_latency_burst(ev.magnitude, now, ev.duration);
+      break;
+    case FaultEvent::Kind::kLossBurst:
+      transport.inject_loss_burst(ev.magnitude, now, ev.duration);
+      break;
+    case FaultEvent::Kind::kLieWrongValue:
+    case FaultEvent::Kind::kLieStaleTs:
+    case FaultEvent::Kind::kLieEquivocate:
+    case FaultEvent::Kind::kLieFabricateAck:
+      server().set_lie(lie_mode_for(ev.kind), now, ev.duration);
+      break;
   }
 }
 
-std::function<void(Simulator&, Network&, std::vector<SimServer>&)>
-fault_hook(FaultPlan plan) {
+void install_fault_plan(const FaultPlan& plan, Simulator* sim, Network* net,
+                        std::vector<Replica>* servers) {
+  for (const FaultEvent& ev : plan.events) {
+    const double delay = ev.at > sim->now() ? ev.at - sim->now() : 0.0;
+    sim->schedule(delay, [ev, sim, net, servers] {
+      apply_fault_event(ev, sim->now(), *servers, net->transport());
+      const FaultMetrics& m = FaultMetrics::get();
+      m.injected.add(1);
+      m.for_kind(ev.kind).add(1);
+      obs::instant("faults", fault_kind_name(ev.kind), "target",
+                   static_cast<std::uint64_t>(ev.server >= 0   ? ev.server
+                                              : ev.client >= 0 ? ev.client
+                                                               : 0));
+    });
+  }
+}
+
+std::function<void(Simulator&, Network&, std::vector<Replica>&)> fault_hook(
+    FaultPlan plan) {
   auto shared = std::make_shared<const FaultPlan>(std::move(plan));
-  return [shared](Simulator& sim, Network& net,
-                  std::vector<SimServer>& servers) {
+  return [shared](Simulator& sim, Network& net, std::vector<Replica>& servers) {
     install_fault_plan(*shared, &sim, &net, &servers);
   };
 }

@@ -5,16 +5,18 @@
 // builders expand churn waves, mass-crash windows, gray fleets, partition
 // storms, and loss/latency bursts into concrete events, drawing any
 // randomness from an explicit Rng so the expansion itself is a pure
-// function of its inputs. Applying a plan (install_fault_plan, or a
-// RegisterExperimentConfig::fault_hook) schedules one simulator event per
-// fault event through the injection hooks grown on Network / SimServer;
-// the application draws nothing from the experiment's rng streams, so the
-// same plan + seed reproduces a bit-identical run at any thread count
-// (tests/test_faults.cpp asserts this at 1/2/8 threads).
+// function of its inputs. One dispatch, apply_fault_event, applies an event
+// to a replica fleet and a Transport at an explicit time; the simulator
+// calls it from one scheduled event per fault event (install_fault_plan, or
+// a RegisterExperimentConfig::fault_hook) and the service runner from its
+// arrival-ordered fault cursor. Application draws nothing from any rng
+// stream, so the same plan + seed reproduces a bit-identical run at any
+// thread count (tests/test_faults.cpp asserts this at 1/2/8 threads).
 //
-// Telemetry: each applied event bumps `sim.faults.injected` plus a per-kind
-// `sim.faults.<kind>` counter and emits a trace instant, so an injected
-// timeline is visible both in metric snapshots and in the Chrome trace.
+// Telemetry: in the simulator each applied event bumps `sim.faults.injected`
+// plus a per-kind `sim.faults.<kind>` counter and emits a trace instant, so
+// an injected timeline is visible both in metric snapshots and in the
+// Chrome trace.
 
 #pragma once
 
@@ -25,6 +27,7 @@
 #include "sim/network.h"
 #include "sim/server.h"
 #include "sim/simulator.h"
+#include "sim/transport.h"
 #include "util/rng.h"
 
 namespace sqs {
@@ -123,15 +126,20 @@ FaultPlan make_byzantine_plan(int num_servers, int num_liars, double start,
 
 // --- application -----------------------------------------------------------
 
+// Applies `ev` to `fleet` and `transport` with every window starting at
+// `now`. Counts and flight events are the caller's.
+void apply_fault_event(const FaultEvent& ev, double now, ReplicaFleet fleet,
+                       Transport& transport);
+
 // Schedules every event of `plan` on `sim` (events whose time already
 // passed fire immediately). Call while the simulator is at time 0 for
 // absolute timing; `servers` outlives the simulation.
 void install_fault_plan(const FaultPlan& plan, Simulator* sim, Network* net,
-                        std::vector<SimServer>* servers);
+                        std::vector<Replica>* servers);
 
 // Wraps the plan as a RegisterExperimentConfig::fault_hook. The returned
 // functor owns a copy of the plan (shared across config copies).
-std::function<void(Simulator&, Network&, std::vector<SimServer>&)>
-fault_hook(FaultPlan plan);
+std::function<void(Simulator&, Network&, std::vector<Replica>&)> fault_hook(
+    FaultPlan plan);
 
 }  // namespace sqs

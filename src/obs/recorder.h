@@ -35,6 +35,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -64,6 +65,11 @@ constexpr std::uint32_t op_stream(OpId op) {
 }
 constexpr std::uint64_t op_seq(OpId op) { return op & ((1ull << 48) - 1); }
 
+// Simulated or virtual seconds -> integer microseconds, the recorder's unit.
+inline std::uint64_t us(double seconds) {
+  return static_cast<std::uint64_t>(std::llround(seconds * 1e6));
+}
+
 // --- flight events ---------------------------------------------------------
 
 // Enumerator order is causal pipeline order, so equal-time events of one op
@@ -75,7 +81,8 @@ enum class FlightKind : std::uint8_t {
   kFault,           // fault event applied (op kNoOp, payload: FaultEvent kind)
   kEpochTransition, // epoch boundary crossed (op kNoOp, payload: new epoch)
   kProbe,           // probe reached `replica` (payload: rtt us)
-  kProbeMiss,       // probe to `replica` timed out (payload: timeout us)
+  kProbeMiss,       // probe to `replica` got no usable reply (payload: us
+                    // spent — the timeout, or a cert-rejected reply's rtt)
   kEpochFenced,     // probe rejected by retired `replica` (payload: its epoch)
   kFiltered,        // partition filter aborted the attempt
   kRetry,           // acquisition retry scheduled (payload: attempt)

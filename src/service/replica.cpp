@@ -1,53 +1,10 @@
 #include "service/replica.h"
 
 #include <algorithm>
-#include <utility>
 
-#include "obs/telemetry.h"
 #include "service/message.h"
 
 namespace sqs {
-
-namespace {
-
-struct ReplicaMetrics {
-  obs::Counter dropped =
-      obs::Registry::instance().counter("service.replica.dropped_requests");
-  obs::Counter regressions =
-      obs::Registry::instance().counter("service.replica.ts_regressions");
-  obs::Counter lies =
-      obs::Registry::instance().counter("service.replica.lies_told");
-  static const ReplicaMetrics& get() {
-    static const ReplicaMetrics m;
-    return m;
-  }
-};
-
-}  // namespace
-
-ServiceReplica::ServiceReplica(int id, const ServerConfig& config, Rng rng)
-    : id_(id), config_(config), rng_(std::move(rng)) {
-  // Same draw order as SimServer: stationary state, then first toggle.
-  up_ = !rng_.bernoulli(config_.stationary_down());
-  next_toggle_ =
-      rng_.exponential(1.0 / (up_ ? config_.mean_up : config_.mean_down));
-}
-
-void ServiceReplica::advance_failure_process(double now) const {
-  while (next_toggle_ <= now) {
-    up_ = !up_;
-    if (up_ && config_.amnesia_on_recovery) objects_.clear();
-    next_toggle_ +=
-        rng_.exponential(1.0 / (up_ ? config_.mean_up : config_.mean_down));
-  }
-}
-
-bool ServiceReplica::up(double now) const {
-  advance_failure_process(now);
-  if (now < forced_down_until_) return false;
-  if (now < forced_up_until_) return true;
-  return up_;
-}
 
 double ServiceReplica::begin_service(double now, double qnow) {
   // FIFO backlog on the monotone arrival clock (see header): the request
@@ -62,110 +19,27 @@ double ServiceReplica::begin_service(double now, double qnow) {
 
 std::optional<ServiceReplica::ReadServed> ServiceReplica::serve_read(
     int object, double now, double qnow, int client) {
-  if (!up(now) || fences_requests()) {  // fence backstop; runner checks first
-    ++dropped_requests_;
-    ReplicaMetrics::get().dropped.add(1);
-    return std::nullopt;
-  }
+  const Cell* cell = serve_cell(now, object);
+  if (cell == nullptr) return std::nullopt;
   const double done = now + begin_service(now, qnow);
-  const Cell& cell = objects_[object];
-  const auto max_it = max_ts_seen_.find(object);
-  if (max_it != max_ts_seen_.end() && cell.ts < max_it->second) {
-    ++ts_regressions_;
-    ReplicaMetrics::get().regressions.add(1);
-  }
-  // The certificate always signs the TRUE stored state — the lie branch
-  // below corrupts only the reported fields (unforgeable signatures).
-  const std::uint32_t cert = replica_cert(id_, cell.ts, cell.value);
-  if (lie_active(now) && lie_corrupts_read(lie_mode_, client)) {
-    ++lies_told_;
-    ReplicaMetrics::get().lies.add(1);
-    if (lie_mode_ == LieMode::kStaleTs)
-      return ReadServed{done, Timestamp{}, 0, cert};
-    return ReadServed{done, fabricated_timestamp(id_, cell.ts),
-                      fabricated_value(id_, cell.ts, cell.value), cert};
-  }
-  return ReadServed{done, cell.ts, cell.value, cert};
+  // The certificate always signs the TRUE stored state — a lie corrupts
+  // only the reported fields (unforgeable signatures).
+  const std::uint32_t cert = replica_cert(id(), cell->ts, cell->value);
+  const auto [ts, value] = reported(*cell, now, client);
+  return ReadServed{done, ts, value, cert};
 }
 
 std::optional<double> ServiceReplica::serve_write(const Timestamp& ts,
                                                  std::uint64_t value,
                                                  int object, double now,
                                                  double qnow) {
-  if (!up(now) || fences_requests()) {  // fence backstop; runner checks first
-    ++dropped_requests_;
-    ReplicaMetrics::get().dropped.add(1);
-    return std::nullopt;
-  }
-  const double done = now + begin_service(now, qnow);
-  if (lie_active(now) && lie_mode_ == LieMode::kFabricateAck) {
-    // Ack without applying: the client counts this replica toward write
-    // durability, but the state was dropped on the floor.
-    ++lies_told_;
-    ReplicaMetrics::get().lies.add(1);
-    return done;
-  }
-  Cell& cell = objects_[object];
-  if (cell.ts < ts) {
-    cell.ts = ts;
-    cell.value = value;
-    Timestamp& max_seen = max_ts_seen_[object];
-    max_seen = std::max(max_seen, ts);
-  }
-  return done;
-}
-
-std::optional<double> ServiceReplica::serve_fence(double now, double qnow) {
-  if (!up(now)) {
-    ++dropped_requests_;
-    ReplicaMetrics::get().dropped.add(1);
-    return std::nullopt;
-  }
+  if (!write(now, ts, value, object)) return std::nullopt;
   return now + begin_service(now, qnow);
 }
 
-void ServiceReplica::adopt_state(const Timestamp& ts, std::uint64_t value,
-                                 int object) {
-  Cell& cell = objects_[object];
-  if (cell.ts < ts) {
-    cell.ts = ts;
-    cell.value = value;
-    Timestamp& max_seen = max_ts_seen_[object];
-    max_seen = std::max(max_seen, ts);
-  }
-}
-
-void ServiceReplica::force_crash(double now, double duration) {
-  forced_down_until_ = std::max(forced_down_until_, now + duration);
-}
-
-void ServiceReplica::force_up(double now, double duration) {
-  forced_up_until_ = std::max(forced_up_until_, now + duration);
-}
-
-void ServiceReplica::set_gray(double factor, double now, double duration) {
-  gray_factor_ = factor;
-  gray_until_ = now + duration;
-}
-
-void ServiceReplica::set_lie(LieMode mode, double now, double duration) {
-  lie_mode_ = mode;
-  lie_until_ = now + duration;
-}
-
-Timestamp ServiceReplica::timestamp(int object) const {
-  auto it = objects_.find(object);
-  return it == objects_.end() ? Timestamp{} : it->second.ts;
-}
-
-std::uint64_t ServiceReplica::value(int object) const {
-  auto it = objects_.find(object);
-  return it == objects_.end() ? 0 : it->second.value;
-}
-
-Timestamp ServiceReplica::max_timestamp_seen(int object) const {
-  auto it = max_ts_seen_.find(object);
-  return it == max_ts_seen_.end() ? Timestamp{} : it->second;
+std::optional<double> ServiceReplica::serve_fence(double now, double qnow) {
+  if (!accept(now)) return std::nullopt;
+  return now + begin_service(now, qnow);
 }
 
 }  // namespace sqs

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "obs/trace.h"
@@ -52,31 +52,7 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size) {
   return h;
 }
 
-// Virtual seconds -> integer microseconds, the flight recorder's time unit.
-std::uint64_t us(double t) {
-  return static_cast<std::uint64_t>(std::llround(t * 1e6));
-}
-
-// Masking vote (mirrors sim/client.cpp): the highest-timestamped (ts,
-// value) pair reported identically by at least b+1 replicas, or nullopt.
-// Deterministic in replica index order.
-std::optional<std::pair<Timestamp, std::uint64_t>> vote_replies(
-    const std::vector<std::optional<std::pair<Timestamp, std::uint64_t>>>&
-        replies,
-    int b) {
-  std::optional<std::pair<Timestamp, std::uint64_t>> best;
-  for (const auto& cand : replies) {
-    if (!cand.has_value()) continue;
-    if (best.has_value() && !(best->first < cand->first)) continue;
-    int votes = 0;
-    for (const auto& other : replies)
-      if (other.has_value() && other->first == cand->first &&
-          other->second == cand->second)
-        ++votes;
-    if (votes >= b + 1) best = *cand;
-  }
-  return best;
-}
+using obs::us;
 
 }  // namespace
 
@@ -150,8 +126,7 @@ ServiceRunner::ServiceRunner(const QuorumFamily& family,
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.at < b.at;
                    });
-  replies_.resize(replicas_.size());
-  reply_retired_.assign(replicas_.size(), 0);
+  tally_.reset(static_cast<int>(replicas_.size()));  // warm the storage
   lat_counts_.assign(lat_bounds_.size() + 1, 0);
   if (config.timeline_window_us > 0)
     timeline_ = obs::Timeline(config.timeline_window_us,
@@ -166,56 +141,7 @@ void ServiceRunner::apply_faults_until(double now) {
     const FaultEvent& e = fault_timeline_[next_fault_++];
     obs::flight(obs::FlightKind::kFault, obs::kNoOp, us(e.at), e.server,
                 static_cast<std::uint64_t>(e.kind));
-    switch (e.kind) {
-      case FaultEvent::Kind::kServerCrash:
-        replicas_[static_cast<std::size_t>(e.server)].force_crash(e.at,
-                                                                  e.duration);
-        break;
-      case FaultEvent::Kind::kServerPin:
-        replicas_[static_cast<std::size_t>(e.server)].force_up(e.at,
-                                                               e.duration);
-        break;
-      case FaultEvent::Kind::kGrayServer:
-        replicas_[static_cast<std::size_t>(e.server)].set_gray(e.magnitude,
-                                                               e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kLinkDown:
-        transport_.block_link(e.client, e.server, e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kClientPartition:
-        if (e.magnitude >= 1.0) {
-          transport_.partition_client(e.client, e.at, e.duration);
-        } else {
-          transport_.partition_client_partial(e.client, e.magnitude, e.at,
-                                              e.duration);
-        }
-        break;
-      case FaultEvent::Kind::kServerPartition:
-        transport_.force_partition(e.server, e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kLatencyBurst:
-        transport_.inject_latency_burst(e.magnitude, e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kLossBurst:
-        transport_.inject_loss_burst(e.magnitude, e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kLieWrongValue:
-        replicas_[static_cast<std::size_t>(e.server)].set_lie(
-            LieMode::kWrongValue, e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kLieStaleTs:
-        replicas_[static_cast<std::size_t>(e.server)].set_lie(
-            LieMode::kStaleTs, e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kLieEquivocate:
-        replicas_[static_cast<std::size_t>(e.server)].set_lie(
-            LieMode::kEquivocate, e.at, e.duration);
-        break;
-      case FaultEvent::Kind::kLieFabricateAck:
-        replicas_[static_cast<std::size_t>(e.server)].set_lie(
-            LieMode::kFabricateAck, e.at, e.duration);
-        break;
-    }
+    apply_fault_event(e, e.at, replicas_, transport_);
     ServiceMetrics::get().faults_injected.add(1);
   }
 }
@@ -225,40 +151,7 @@ void ServiceRunner::apply_epochs_until(double now) {
   const EpochedFamily& sched = *config_.epochs;
   while (next_epoch_ < sched.num_epochs() && sched.entry(next_epoch_).at <= now) {
     const int e = next_epoch_++;
-    const MembershipView& prev = sched.entry(e - 1).view;
-    const MembershipView& next = sched.entry(e).view;
-    // Drain-on-leave: every leaver's register moves to every member of the
-    // new view before the leaver is fenced, so an acked write never strands
-    // on a retired replica (the no-lost-acked-write invariant across epoch
-    // boundaries). Mirrors the sim harness's transition event: instant,
-    // rng-free, and applied in arrival order from the solo stage.
-    for (int id : prev.members) {
-      if (next.contains(id)) continue;
-      const Timestamp ts = replicas_[static_cast<std::size_t>(id)].timestamp(0);
-      if (!(Timestamp{} < ts)) continue;
-      const std::uint64_t value =
-          replicas_[static_cast<std::size_t>(id)].value(0);
-      for (int dst : next.members)
-        replicas_[static_cast<std::size_t>(dst)].adopt_state(ts, value, 0);
-    }
-    // Join-sync: joiners adopt the highest state the previous view holds.
-    Timestamp best;
-    std::uint64_t best_value = 0;
-    for (int id : prev.members) {
-      const Timestamp ts = replicas_[static_cast<std::size_t>(id)].timestamp(0);
-      if (best < ts) {
-        best = ts;
-        best_value = replicas_[static_cast<std::size_t>(id)].value(0);
-      }
-    }
-    for (int id : next.members) {
-      if (prev.contains(id) || !(Timestamp{} < best)) continue;
-      replicas_[static_cast<std::size_t>(id)].adopt_state(best, best_value, 0);
-    }
-    for (std::size_t i = 0; i < replicas_.size(); ++i) {
-      replicas_[i].set_member(next.contains(static_cast<int>(i)));
-      replicas_[i].set_epoch(e);
-    }
+    apply_epoch_transition(sched, e, replicas_);
     current_epoch_ = e;
     ++totals_.epoch_transitions;
     obs::flight(obs::FlightKind::kEpochTransition, obs::kNoOp,
@@ -321,6 +214,16 @@ Reply ServiceRunner::execute_op(const Request& req) {
   // count because all of this is solo-stage arrival-ordered state).
   const double timeout = config_.probe_timeout;
   const bool epoch_mode = config_.epochs != nullptr;
+  const int client = static_cast<int>(req.client);
+  // The reply leg of a request sent at `sent` that left replica `dst` at
+  // `done`: the round trip, or nullopt when the reply is lost or late.
+  const auto reply_rtt = [&](int dst, double sent,
+                             double done) -> std::optional<double> {
+    const Transport::Delivery back = transport_.attempt(client, dst, done);
+    const double rtt = done + back.latency - sent;
+    if (!back.delivered || rtt > timeout) return std::nullopt;
+    return rtt;
+  };
   Rng op_rng = op_rng_base_.split(req.seq);
   double t = arrival;
   std::uint32_t probes = 0;
@@ -337,11 +240,8 @@ Reply ServiceRunner::execute_op(const Request& req) {
       saw_newer_epoch = false;
     }
     strategy->reset(&op_rng);
-    for (int s : touched_) {
-      replies_[static_cast<std::size_t>(s)].reset();
-      reply_retired_[static_cast<std::size_t>(s)] = 0;
-    }
-    touched_.clear();
+    tally_.reset(view != nullptr ? view->universe_size()
+                                 : static_cast<int>(replicas_.size()));
     while (strategy->status() == ProbeStatus::kInProgress) {
       const int s = strategy->next_server();
       const int dst =
@@ -350,73 +250,55 @@ Reply ServiceRunner::execute_op(const Request& req) {
       const double t0 = t;
       bool reached = false;
       bool answered = false;  // timely reply (data, fence, or bad cert)
-      const Transport::Delivery to =
-          transport_.attempt(static_cast<int>(req.client), dst, t);
+      bool fenced = false;
+      const Transport::Delivery to = transport_.attempt(client, dst, t);
       if (to.delivered) {
         ServiceReplica& replica = replicas_[static_cast<std::size_t>(dst)];
-        if (replica.fences_requests()) {
-          // Epoch fence: the retired replica answers — at normal queueing
-          // cost — with a rejection carrying its epoch. Negative evidence
-          // for this view's quorum, positive evidence of staleness.
-          if (auto done = replica.serve_fence(t + to.latency, arrival)) {
-            const Transport::Delivery back = transport_.attempt(
-                static_cast<int>(req.client), dst, *done);
-            if (back.delivered) {
-              const double rtt = *done + back.latency - t;
-              if (rtt <= timeout) {
-                answered = true;
-                saw_newer_epoch = true;
-                ++totals_.epoch_rejects;
-                obs::flight(obs::FlightKind::kEpochFenced, op, us(t0), dst,
-                            static_cast<std::uint64_t>(replica.epoch()));
-                t += rtt;
-              }
-            }
-          } else {
-            ++op_drops;
-          }
-        } else if (auto served = replica.serve_read(
-                       0, t + to.latency, arrival,
-                       static_cast<int>(req.client))) {
-          const Transport::Delivery back = transport_.attempt(
-              static_cast<int>(req.client), dst, served->done);
-          if (back.delivered) {
-            const double rtt = served->done + back.latency - t;
-            if (rtt <= timeout) {
-              // The reply arrived in time; it joins the quorum only if its
-              // certificate matches what it reports. A lying replica signs
-              // its true state, so its fabrication fails here and the probe
-              // counts as a miss (the client spent the rtt, not the
-              // timeout).
-              answered = true;
-              if (!config_.verify_replica_certs ||
-                  served->cert ==
-                      replica_cert(dst, served->ts, served->value)) {
-                reached = true;
-                replies_[static_cast<std::size_t>(s)] = {served->ts,
-                                                         served->value};
-                reply_retired_[static_cast<std::size_t>(s)] =
-                    replica.retired() ? 1 : 0;
-                touched_.push_back(s);
-                if (epoch_mode && replica.epoch() > view_epoch_)
-                  saw_newer_epoch = true;
-              } else {
-                ++totals_.cert_rejects;
-              }
-              t += rtt;
-            }
-          }
+        // A retired replica answers — at normal queueing cost — with an
+        // epoch fence instead of register state: negative evidence for this
+        // view's quorum, positive evidence of staleness.
+        fenced = replica.fences_requests();
+        std::optional<ServiceReplica::ReadServed> served;
+        std::optional<double> done;
+        if (fenced) {
+          done = replica.serve_fence(t + to.latency, arrival);
         } else {
-          ++op_drops;
+          served = replica.serve_read(0, t + to.latency, arrival, client);
+          if (served) done = served->done;
         }
+        if (!done) ++op_drops;
+        const std::optional<double> rtt =
+            done ? reply_rtt(dst, t, *done) : std::nullopt;
+        answered = rtt.has_value();
+        fenced = fenced && answered;
+        if (fenced) {
+          saw_newer_epoch = true;
+          ++totals_.epoch_rejects;
+          obs::flight(obs::FlightKind::kEpochFenced, op, us(t0), dst,
+                      static_cast<std::uint64_t>(replica.epoch()));
+        } else if (answered) {
+          // The reply arrived in time; it joins the quorum only if its
+          // certificate matches what it reports. A lying replica signs its
+          // true state, so its fabrication fails here and the probe counts
+          // as a miss (the client spent the rtt, not the timeout).
+          reached = !config_.verify_replica_certs ||
+                    served->cert ==
+                        replica_cert(dst, served->ts, served->value);
+          if (reached) {
+            tally_.add(s, served->ts, served->value, replica.retired());
+            if (epoch_mode && replica.epoch() > view_epoch_)
+              saw_newer_epoch = true;
+          } else {
+            ++totals_.cert_rejects;
+          }
+        }
+        if (answered) t += *rtt;
       }
       if (!answered) t += timeout;
-      if (reached) {
-        obs::flight(obs::FlightKind::kProbe, op, us(t0), dst, us(t - t0));
-      } else {
-        obs::flight(obs::FlightKind::kProbeMiss, op, us(t0), dst,
-                    us(timeout));
-      }
+      if (!fenced)
+        obs::flight(reached ? obs::FlightKind::kProbe
+                            : obs::FlightKind::kProbeMiss,
+                    op, us(t0), dst, us(t - t0));
       strategy->observe(s, reached);
     }
     acquired = strategy->status() == ProbeStatus::kAcquired;
@@ -449,127 +331,69 @@ Reply ServiceRunner::execute_op(const Request& req) {
   rep.probes = probes;
   double finish = t;
 
+  // Under a lie tolerance only a pair vouched for by more replicas than can
+  // lie is adopted (reads) or grown from (writes); no such pair fails the op
+  // instead of fabricating.
+  const ReplyTally::Decision d =
+      acquired ? tally_.decide(config_.lie_tolerance) : ReplyTally::Decision{};
   if (req.kind == OpKind::kRead) {
     ++totals_.reads;
-    bool have_value = acquired;
-    Timestamp best;
-    std::uint64_t value = 0;
-    if (acquired) {
-      if (config_.lie_tolerance > 0) {
-        // Masking read: adopt only a pair vouched for by more replicas than
-        // can lie; no such pair fails the read instead of fabricating.
-        const auto voted = vote_replies(replies_, config_.lie_tolerance);
-        if (voted.has_value()) {
-          best = voted->first;
-          value = voted->second;
-        } else {
-          have_value = false;
-        }
-      } else {
-        // Max-timestamp value among reached servers; the default {0, -1}
-        // tag with value 0 is exactly an unwritten cell, so no special
-        // first-case.
-        for (int s : touched_) {
-          const auto& r = replies_[static_cast<std::size_t>(s)];
-          if (best < r->first) {
-            best = r->first;
-            value = r->second;
-          }
-        }
-      }
-    }
-    if (have_value) {
+    if (d.ok) {
       ++totals_.reads_ok;
       rep.ok = true;
-      rep.ts = best;
-      rep.value = value;
-      if (best < frontier_ts_) {
+      rep.ts = d.ts;
+      rep.value = d.value;
+      if (d.ts < frontier_ts_) {
         ++totals_.stale_reads;
         obs::flight(obs::FlightKind::kStaleRead, op, us(t));
       }
       // No-fabricated-write check, exact because the solo stage runs in
       // arrival order: a non-zero binding must have been produced by some
       // earlier ok write of this runner.
-      if (Timestamp{} < best &&
-          genuine_writes_.count({best.counter, best.writer, value}) == 0) {
+      if (Timestamp{} < d.ts &&
+          genuine_writes_.count({d.ts.counter, d.ts.writer, d.value}) == 0) {
         ++totals_.fabricated_reads;
-        obs::flight(obs::FlightKind::kFabricatedRead, op, us(t), -1, value);
+        obs::flight(obs::FlightKind::kFabricatedRead, op, us(t), -1, d.value);
       }
       // No-read-from-retired-server accounting: adopting state served by a
       // retired replica means the fence failed — only the
       // serve_while_retired bug switch can get here.
-      if (epoch_mode) {
-        bool from_retired = false;
-        for (int s : touched_) {
-          const auto& r = replies_[static_cast<std::size_t>(s)];
-          if (r->first == best && r->second == value &&
-              reply_retired_[static_cast<std::size_t>(s)] != 0)
-            from_retired = true;
-        }
-        if (from_retired) {
-          ++totals_.retired_reads;
-          obs::flight(obs::FlightKind::kRetiredRead, op, us(t), -1,
-                      static_cast<std::uint64_t>(best.counter));
-        }
+      if (d.retired_index >= 0) {
+        ++totals_.retired_reads;
+        obs::flight(obs::FlightKind::kRetiredRead, op, us(t), -1,
+                    static_cast<std::uint64_t>(d.ts.counter));
       }
     }
   } else {
     ++totals_.writes;
-    bool have_ts = acquired;
-    Timestamp max_ts;
-    if (acquired) {
-      if (config_.lie_tolerance > 0) {
-        // Masking write: the new timestamp grows from voted replies only,
-        // so a liar's boosted counter never enters the genuine order.
-        const auto voted = vote_replies(replies_, config_.lie_tolerance);
-        if (voted.has_value()) {
-          max_ts = voted->first;
-        } else {
-          have_ts = false;
-        }
-      } else {
-        for (int s : touched_) {
-          const auto& r = replies_[static_cast<std::size_t>(s)];
-          max_ts = std::max(max_ts, r->first);
-        }
-      }
-    }
-    if (have_ts) {
+    if (d.ok) {
       ++totals_.writes_ok;
-      const Timestamp new_ts{max_ts.counter + 1, static_cast<int>(req.client)};
+      const Timestamp new_ts{d.ts.counter + 1, client};
       // Push to every reached probed server in ascending family-index order
       // (the order install paths use everywhere else; indices map to the
       // wire through the op's view); each push resolves at its ack round
       // trip or at the timeout, and the write completes when the last
       // target resolves.
-      std::vector<int> targets(touched_);
-      std::sort(targets.begin(), targets.end());
       int acks = 0;
       double end = t;
-      for (int s : targets) {
+      for (int s = 0; s < tally_.size(); ++s) {
+        if (!tally_.reached(s)) continue;
         const int dst =
             view != nullptr ? view->members[static_cast<std::size_t>(s)] : s;
-        const Transport::Delivery to =
-            transport_.attempt(static_cast<int>(req.client), dst, t);
-        double resolve = timeout;
-        bool acked = false;
+        const Transport::Delivery to = transport_.attempt(client, dst, t);
+        std::optional<double> rtt;
         if (to.delivered) {
-          if (auto done = replicas_[static_cast<std::size_t>(dst)].serve_write(
-                  new_ts, req.value, 0, t + to.latency, arrival)) {
-            const Transport::Delivery back = transport_.attempt(
-                static_cast<int>(req.client), dst, *done);
-            if (back.delivered) {
-              const double rtt = *done + back.latency - t;
-              if (rtt <= timeout) {
-                ++acks;
-                acked = true;
-                resolve = rtt;
-              }
-            }
-          } else {
+          const std::optional<double> done =
+              replicas_[static_cast<std::size_t>(dst)].serve_write(
+                  new_ts, req.value, 0, t + to.latency, arrival);
+          if (done)
+            rtt = reply_rtt(dst, t, *done);
+          else
             ++op_drops;
-          }
         }
+        const bool acked = rtt.has_value();
+        const double resolve = acked ? *rtt : timeout;
+        if (acked) ++acks;
         obs::flight(acked ? obs::FlightKind::kWriteAck
                           : obs::FlightKind::kWriteNack,
                     op, us(t), dst, us(resolve));
@@ -589,8 +413,7 @@ Reply ServiceRunner::execute_op(const Request& req) {
     }
   }
 
-  const std::uint64_t latency_us = static_cast<std::uint64_t>(
-      std::llround((finish - arrival) * 1e6));
+  const std::uint64_t latency_us = us(finish - arrival);
   rep.latency_us = latency_us;
   record_latency(latency_us);
   obs::flight(obs::FlightKind::kOpDone, op, us(finish), -1, latency_us);
@@ -623,7 +446,7 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
     std::lock_guard<std::mutex> lk(turn_mu_);
     solo_turn_ = 0;
   }
-  const Totals before = totals_;  // obs counters get this call's deltas
+  const ServiceResult before = totals_;  // obs counters get this call's deltas
 
   const auto wall_start = std::chrono::steady_clock::now();
   auto process = [&](std::uint64_t b) {
@@ -710,30 +533,20 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
     totals_.cert_rejects += cert_fail[b];
   }
 
-  ServiceResult result;
-  result.requests = totals_.requests;
-  result.decode_failures = totals_.decode_failures;
-  result.reads = totals_.reads;
-  result.reads_ok = totals_.reads_ok;
-  result.writes = totals_.writes;
-  result.writes_ok = totals_.writes_ok;
-  result.stale_reads = totals_.stale_reads;
-  result.probes = totals_.probes;
-  result.write_acks = totals_.write_acks;
-  result.cert_rejects = totals_.cert_rejects;
-  result.fabricated_reads = totals_.fabricated_reads;
-  result.epoch_transitions = totals_.epoch_transitions;
-  result.view_refreshes = totals_.view_refreshes;
-  result.epoch_rejects = totals_.epoch_rejects;
-  result.retired_reads = totals_.retired_reads;
+  ServiceResult result = totals_;
   result.current_epoch = current_epoch_;
   result.view_epoch = view_epoch_;
   if (totals_.fabricated_reads > 0 || totals_.retired_reads > 0)
     obs::flight(obs::FlightKind::kViolation, obs::kNoOp, us(last_arrival_));
-  for (const ServiceReplica& r : replicas_) {
-    result.replica_dropped += r.dropped_requests();
-    result.ts_regressions += r.ts_regressions();
-  }
+  const ReplicaCounts counts = fleet_counts(replicas_);
+  result.replica_dropped = counts.dropped_requests;
+  result.ts_regressions = counts.ts_regressions;
+  publish_replica_counts(
+      "service.replica",
+      {counts.dropped_requests - published_.dropped_requests,
+       counts.ts_regressions - published_.ts_regressions,
+       counts.lies_told - published_.lies_told});
+  published_ = counts;
   result.net_delivered = transport_.messages_delivered();
   result.net_dropped = transport_.messages_dropped();
 

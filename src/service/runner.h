@@ -75,10 +75,10 @@ struct ServiceConfig {
   // liars it strips fabrications off the quorum path. Request certificates
   // are always verified in the prologue.
   bool verify_replica_certs = true;
-  // Masking vote (see sim/client.h): when > 0 a read adopts only the
-  // highest-timestamped reply vouched for by >= lie_tolerance+1 replicas,
-  // and a write derives its timestamp from voted replies; no voted pair
-  // fails the op. 0 keeps the classic max-timestamp fold.
+  // Masking vote (ReplyTally::decide, sim/server.h): when > 0 a read adopts
+  // only the highest-timestamped reply vouched for by >= lie_tolerance+1
+  // replicas, and a write derives its timestamp from voted replies; no voted
+  // pair fails the op. 0 keeps the classic max-timestamp fold.
   int lie_tolerance = 0;
 
   // --- Epoch reconfiguration (src/core/epoch.h) ---------------------------
@@ -91,7 +91,7 @@ struct ServiceConfig {
   // reply stamped with a newer epoch) and refreshes via the bounded
   // view-fetch path below.
   std::shared_ptr<const EpochedFamily> epochs;
-  // Stale-view recovery knobs (mirror sim/client.h): a failed acquisition
+  // Stale-view recovery knobs (as in sim/client.h): a failed acquisition
   // with epoch evidence re-probes under the fetched view after a fixed
   // (rng-free) delay, at most max_view_fetches times per op; a successful op
   // with evidence refreshes asynchronously. refresh_views = false pins the
@@ -198,7 +198,6 @@ class ServiceRunner {
   const obs::Timeline& timeline() const { return timeline_; }
 
  private:
-  struct OpStats;
   void apply_faults_until(double now);
   void apply_epochs_until(double now);
   void pop_completed_writes(double now);
@@ -240,20 +239,14 @@ class ServiceRunner {
   bool any_acked_write_ = false;
   double last_arrival_ = 0.0;
 
-  // Solo-owned per-op scratch and lifetime totals. replies_ / touched_ are
-  // indexed in FAMILY-INDEX space (== logical ids outside epoch mode); the
-  // current view maps indices to logical replicas at every wire site.
-  std::vector<std::optional<std::pair<Timestamp, std::uint64_t>>> replies_;
-  std::vector<char> reply_retired_;  // reply came from a retired replica
-  std::vector<int> touched_;
-  struct Totals {
-    std::uint64_t requests = 0, decode_failures = 0;
-    std::uint64_t reads = 0, reads_ok = 0, writes = 0, writes_ok = 0;
-    std::uint64_t stale_reads = 0, probes = 0, write_acks = 0;
-    std::uint64_t cert_rejects = 0, fabricated_reads = 0;
-    std::uint64_t epoch_transitions = 0, view_refreshes = 0;
-    std::uint64_t epoch_rejects = 0, retired_reads = 0;
-  } totals_;
+  // Solo-owned per-op scratch and lifetime totals. The tally is indexed in
+  // FAMILY-INDEX space (== logical ids outside epoch mode); the current view
+  // maps indices to logical replicas at every wire site.
+  ReplyTally tally_;
+  // The op counters of ServiceResult; serve() fills in the rest.
+  ServiceResult totals_;
+  // Replica counts already published to service.replica.* by serve().
+  ReplicaCounts published_;
   // (counter, writer, value) bindings of every ok write, solo-owned. The
   // solo stage runs in arrival order, so a read can only observe a binding
   // after its write registered it — the fabricated-read check is exact and

@@ -23,35 +23,7 @@ struct ClientMetrics {
   }
 };
 
-// Simulated seconds -> integer microseconds, the flight recorder's unit.
-std::uint64_t us(double t) {
-  return static_cast<std::uint64_t>(std::llround(t * 1e6));
-}
-
-// Masking vote: the highest-timestamped (ts, value) pair reported
-// identically by at least b+1 reached servers, or nullopt if no pair has
-// enough vouchers. O(n^2) over a small fleet, deterministic in server
-// index order. Two distinct pairs can never both clear b+1 at the same
-// timestamp in-model (that would need b+1 coordinated liars), and the
-// strict `<` keeps the first-seen winner stable if the model is ever
-// violated.
-std::optional<std::pair<Timestamp, std::uint64_t>> vote_reply(
-    const std::vector<std::optional<std::pair<Timestamp, std::uint64_t>>>&
-        replies,
-    int b) {
-  std::optional<std::pair<Timestamp, std::uint64_t>> best;
-  for (const auto& cand : replies) {
-    if (!cand.has_value()) continue;
-    if (best.has_value() && !(best->first < cand->first)) continue;
-    int votes = 0;
-    for (const auto& other : replies)
-      if (other.has_value() && other->first == cand->first &&
-          other->second == cand->second)
-        ++votes;
-    if (votes >= b + 1) best = *cand;
-  }
-  return best;
-}
+using obs::us;
 
 }  // namespace
 
@@ -103,7 +75,7 @@ struct SimClient::Acquisition {
 };
 
 SimClient::SimClient(Simulator* sim, Network* net,
-                     std::vector<SimServer>* servers, int id,
+                     std::vector<Replica>* servers, int id,
                      const QuorumFamily* family, const ClientConfig& config,
                      Rng rng, const EpochState* epochs)
     : sim_(sim),
@@ -157,6 +129,11 @@ void SimClient::start_attempt(std::shared_ptr<Acquisition> acq) {
     acq->saw_newer_epoch = false;
   }
   const QuorumFamily& family = *acq->family;
+  // Each attempt gathers fresh evidence; only num_probes/attempts carry
+  // over, so the result reflects the final attempt's world view.
+  acq->result.probed = SignedSet(family.universe_size());
+  acq->result.quorum = SignedSet(family.universe_size());
+  acq->result.replies.reset(family.universe_size());
   if (config_.use_partition_filter && net_->client_partition_active(id_)) {
     // Beacon check: the beacon is an arbitrary node outside the client's
     // domain, so during a partition it is unreachable with probability
@@ -165,12 +142,6 @@ void SimClient::start_attempt(std::shared_ptr<Acquisition> acq) {
     if (rng_.bernoulli(fraction)) {
       acq->result.filtered = true;
       acq->strategy.reset();
-      acq->result.probed = SignedSet(family.universe_size());
-      acq->result.quorum = SignedSet(family.universe_size());
-      acq->result.replies.assign(
-          static_cast<std::size_t>(family.universe_size()), std::nullopt);
-      acq->result.reply_retired.assign(
-          static_cast<std::size_t>(family.universe_size()), 0);
       // The failed beacon check costs one timeout before the attempt
       // resolves (and can then be retried like any other failure).
       sim_->schedule(current_probe_timeout(),
@@ -182,14 +153,6 @@ void SimClient::start_attempt(std::shared_ptr<Acquisition> acq) {
   acq->strategy = family.make_probe_strategy();
   acq->strategy_rng = rng_.split(next_seq_ * 2 + 1);
   acq->strategy->reset(&acq->strategy_rng);
-  // Each attempt gathers fresh evidence; only num_probes/attempts carry
-  // over, so the result reflects the final attempt's world view.
-  acq->result.probed = SignedSet(family.universe_size());
-  acq->result.quorum = SignedSet(family.universe_size());
-  acq->result.replies.assign(static_cast<std::size_t>(family.universe_size()),
-                             std::nullopt);
-  acq->result.reply_retired.assign(
-      static_cast<std::size_t>(family.universe_size()), 0);
   issue_next_probe(std::move(acq));
 }
 
@@ -218,11 +181,12 @@ void SimClient::issue_next_probe(std::shared_ptr<Acquisition> acq) {
   // Request leg.
   net_->send(id_, target, Network::Direction::kToServer,
              [this, acq, seq, server, target] {
-    SimServer& s = (*servers_)[static_cast<std::size_t>(target)];
-    if (acq->view != nullptr && s.fences_requests() && s.up()) {
+    Replica& s = (*servers_)[static_cast<std::size_t>(target)];
+    if (acq->view != nullptr && s.fences_requests() && s.up(sim_->now())) {
       // Epoch fence: the retired server answers — at normal cost — with a
       // rejection carrying the current epoch instead of register state.
-      sim_->schedule(s.service_time(), [this, acq, seq, server, target] {
+      sim_->schedule(s.service_time(sim_->now()),
+                     [this, acq, seq, server, target] {
         net_->send(id_, target, Network::Direction::kToClient,
                    [this, acq, seq, server, target] {
                      finish_probe_fenced(acq, seq, server, target);
@@ -230,7 +194,7 @@ void SimClient::issue_next_probe(std::shared_ptr<Acquisition> acq) {
       });
       return;
     }
-    const auto reply = s.handle_read(acq->object, id_);
+    const auto reply = s.read(sim_->now(), acq->object, id_);
     if (!reply.has_value()) return;  // server crashed: no reply
     // Retirement is sampled AT SERVE TIME and carried with the reply: the
     // server may retire (or a fresh one take its slot) before the op
@@ -238,7 +202,7 @@ void SimClient::issue_next_probe(std::shared_ptr<Acquisition> acq) {
     // retired read.
     const bool was_retired = s.retired();
     // Service delay, then the reply leg.
-    sim_->schedule(s.service_time(),
+    sim_->schedule(s.service_time(sim_->now()),
                    [this, acq, seq, server, target, reply, was_retired] {
       net_->send(id_, target, Network::Direction::kToClient,
                  [this, acq, seq, server, target, reply, was_retired] {
@@ -260,15 +224,9 @@ void SimClient::finish_probe(
   if (acq->pending_seq != seq) return;  // stale: already resolved
   acq->pending_seq = 0;
   const bool reached = reply.has_value();
-  if (reached) {
-    obs::flight(obs::FlightKind::kProbe, acq->result.op,
-                us(acq->probe_sent_at), target,
-                us(sim_->now() - acq->probe_sent_at));
-  } else {
-    obs::flight(obs::FlightKind::kProbeMiss, acq->result.op,
-                us(acq->probe_sent_at), target,
-                us(sim_->now() - acq->probe_sent_at));
-  }
+  obs::flight(reached ? obs::FlightKind::kProbe : obs::FlightKind::kProbeMiss,
+              acq->result.op, us(acq->probe_sent_at), target,
+              us(sim_->now() - acq->probe_sent_at));
   if (reached) {
     if (config_.adaptive_timeout) {
       const double rtt = sim_->now() - acq->probe_sent_at;
@@ -285,9 +243,8 @@ void SimClient::finish_probe(
             acq->view->epoch)
       acq->saw_newer_epoch = true;
     acq->result.probed.add_positive(server);
-    acq->result.replies[static_cast<std::size_t>(server)] = *reply;
-    acq->result.reply_retired[static_cast<std::size_t>(server)] =
-        served_retired ? 1 : 0;
+    acq->result.replies.add(server, reply->first, reply->second,
+                            served_retired);
   } else {
     acq->result.probed.add_negative(server);
   }
@@ -420,61 +377,37 @@ void SimClient::finish_read(int object, AcquisitionResult acq,
   result.ok = acq.acquired;
   result.filtered = acq.filtered;
   result.probed = acq.probed;
-  int adopted_from = -1;  // family index of the reply the read adopted
   if (result.ok) {
-    if (config_.lie_tolerance > 0) {
-      // Masking read: only a (ts, value) pair vouched for by more servers
-      // than can lie is trusted; otherwise the read fails rather than
-      // returning a possible fabrication.
-      const auto voted = vote_reply(acq.replies, config_.lie_tolerance);
-      if (voted.has_value()) {
-        result.timestamp = voted->first;
-        result.value = voted->second;
-        for (std::size_t i = 0; i < acq.replies.size(); ++i)
-          if (acq.replies[i].has_value() && *acq.replies[i] == *voted) {
-            adopted_from = static_cast<int>(i);
-            break;
-          }
-      } else {
-        result.ok = false;
-      }
-    } else {
-      // Max-timestamp value over every reached probed server (S+), per the
-      // Sect. 4 client requirement.
-      for (std::size_t i = 0; i < acq.replies.size(); ++i) {
-        const auto& reply = acq.replies[i];
-        if (!reply.has_value()) continue;
-        if (result.timestamp < reply->first) {
-          result.timestamp = reply->first;
-          result.value = reply->second;
-          adopted_from = static_cast<int>(i);
-        }
-      }
-    }
+    // Max-timestamp value over every reached probed server (S+), per the
+    // Sect. 4 client requirement — or, under a lie tolerance, only a pair
+    // vouched for by more servers than can lie; no such pair fails the read
+    // rather than returning a possible fabrication.
+    const ReplyTally::Decision d = acq.replies.decide(config_.lie_tolerance);
+    result.ok = d.ok;
+    result.timestamp = d.ts;
+    result.value = d.value;
     // No-read-from-retired-server accounting: adopting state served by a
     // replica outside the membership is exactly the silent stale read
-    // reconfiguration fencing exists to prevent. The flag was captured at
-    // serve time (a member serving just before its epoch boundary is not a
-    // retired read), so this is only reachable when the serve_while_retired
-    // bug switch defeats the fence.
-    if (result.ok && adopted_from >= 0 && acq.view != nullptr &&
-        acq.reply_retired[static_cast<std::size_t>(adopted_from)] != 0) {
-      const int target = wire(static_cast<std::size_t>(adopted_from));
+    // reconfiguration fencing exists to prevent; only the
+    // serve_while_retired bug switch can get here.
+    if (d.ok && d.retired_index >= 0) {
       ++retired_reads_;
       obs::flight(obs::FlightKind::kRetiredRead, acq.op, us(sim_->now()),
-                  target, result.timestamp.counter);
+                  wire(static_cast<std::size_t>(d.retired_index)),
+                  result.timestamp.counter);
     }
     if (config_.read_repair && result.ok) {
       // Fire-and-forget write-back to stale reached servers.
-      for (std::size_t i = 0; i < acq.replies.size(); ++i) {
-        const auto& reply = acq.replies[i];
-        if (!reply.has_value() || !(reply->first < result.timestamp)) continue;
-        const int server = wire(i);
+      for (int i = 0; i < acq.replies.size(); ++i) {
+        if (!acq.replies.reached(i) ||
+            !(acq.replies.timestamp(i) < result.timestamp))
+          continue;
+        const int server = wire(static_cast<std::size_t>(i));
         net_->send(id_, server, Network::Direction::kToServer,
                    [this, server, object, ts = result.timestamp,
                     value = result.value] {
-                     (*servers_)[static_cast<std::size_t>(server)].handle_write(
-                         ts, value, object);
+                     (*servers_)[static_cast<std::size_t>(server)].write(
+                         sim_->now(), ts, value, object);
                    });
       }
     }
@@ -512,24 +445,17 @@ void SimClient::finish_write(int object, std::uint64_t value,
     done(result);
     return;
   }
-  Timestamp max_ts;
-  if (config_.lie_tolerance > 0) {
-    // Masking write: derive the new timestamp from voted pairs only, so a
-    // liar's inflated counter never enters the genuine timestamp order.
-    // No voted pair -> fail the write without pushing anything.
-    const auto voted = vote_reply(acq.replies, config_.lie_tolerance);
-    if (!voted.has_value()) {
-      result.latency = acq.latency;
-      done(result);
-      return;
-    }
-    max_ts = voted->first;
-  } else {
-    for (const auto& reply : acq.replies)
-      if (reply.has_value() && max_ts < reply->first) max_ts = reply->first;
+  // Under a lie tolerance the new timestamp grows from a voted pair only,
+  // so a liar's inflated counter never enters the genuine timestamp order;
+  // no voted pair fails the write without pushing anything.
+  const ReplyTally::Decision d = acq.replies.decide(config_.lie_tolerance);
+  if (!d.ok) {
+    result.latency = acq.latency;
+    done(result);
+    return;
   }
   result.ok = true;
-  result.timestamp = Timestamp{max_ts.counter + 1, id_};
+  result.timestamp = Timestamp{d.ts.counter + 1, id_};
 
   // Push the new value to every reached probed server; complete when all
   // acks arrive or time out.
@@ -555,11 +481,11 @@ void SimClient::finish_write(int object, std::uint64_t value,
     net_->send(id_, server, Network::Direction::kToServer,
                [this, server, object, ts = result.timestamp, value, resolved,
                 finish_one, push_start, op] {
-                 SimServer& s = (*servers_)[static_cast<std::size_t>(server)];
-                 if (!s.handle_write(ts, value, object)) return;
-                 sim_->schedule(s.service_time(), [this, server, resolved,
-                                                   finish_one, push_start,
-                                                   op] {
+                 Replica& s = (*servers_)[static_cast<std::size_t>(server)];
+                 if (!s.write(sim_->now(), ts, value, object)) return;
+                 sim_->schedule(s.service_time(sim_->now()),
+                                [this, server, resolved, finish_one,
+                                 push_start, op] {
                    net_->send(id_, server, Network::Direction::kToClient,
                               [this, server, resolved, finish_one, push_start,
                                op] {

@@ -117,15 +117,13 @@ struct AcquisitionResult {
   int attempts = 1;
   bool deadline_exceeded = false;
   double latency = 0.0;  // whole operation, first attempt start to done
-  // Reply snapshot per server (only reached servers have values). In epoch
-  // mode the index space is the *family's* (map to logical ids via `view`).
-  std::vector<std::optional<std::pair<Timestamp, std::uint64_t>>> replies;
-  // Parallel to `replies`: nonzero when the reply was served by a replica
-  // that was already retired AT SERVE TIME (only possible under the
-  // serve_while_retired bug switch). Captured with the reply, not at
-  // adoption time — a server legitimately serving just before its epoch
-  // boundary is not a retired read.
-  std::vector<char> reply_retired;
+  // The final attempt's replies (reached servers only). In epoch mode the
+  // index space is the *family's* (map to logical ids via `view`). Each
+  // reply carries whether its replica was already retired AT SERVE TIME
+  // (only possible under the serve_while_retired bug switch) — captured
+  // with the reply, not at adoption time, so a server legitimately serving
+  // just before its epoch boundary is not a retired read.
+  ReplyTally replies;
   // Epoch mode: the membership view the final attempt probed under (owned
   // by the run's EpochedFamily, which outlives every operation); nullptr
   // for classic fixed-universe acquisitions.
@@ -165,7 +163,7 @@ class SimClient {
   // `epochs` (optional) switches the client into epoch mode: the default
   // acquire/read/write overloads resolve family and membership from the
   // client's own — possibly stale — view epoch instead of `family`.
-  SimClient(Simulator* sim, Network* net, std::vector<SimServer>* servers,
+  SimClient(Simulator* sim, Network* net, std::vector<Replica>* servers,
             int id, const QuorumFamily* family, const ClientConfig& config,
             Rng rng, const EpochState* epochs = nullptr);
 
@@ -215,7 +213,7 @@ class SimClient {
 
   Simulator* sim_;
   Network* net_;
-  std::vector<SimServer>* servers_;
+  std::vector<Replica>* servers_;
   int id_;
   const QuorumFamily* family_;
   ClientConfig config_;

@@ -45,12 +45,12 @@ struct RegisterExperimentConfig {
   // draw from the experiment's rng (fault plans are pre-expanded), so
   // installing a plan never perturbs the load's random streams and the
   // same plan + seed reproduces a bit-identical run.
-  std::function<void(Simulator&, Network&, std::vector<SimServer>&)> fault_hook;
+  std::function<void(Simulator&, Network&, std::vector<Replica>&)> fault_hook;
   // Epoch-based reconfiguration (nullptr = classic fixed universe). The
   // fleet is sized to epochs->num_logical; servers outside epoch 0's view
   // start retired. At each entry's `at` the harness performs the membership
-  // transition deterministically (join-sync and drain-on-leave move state
-  // via adopt_state, which draws no randomness), so churn runs consume the
+  // transition deterministically (apply_epoch_transition, sim/server.h,
+  // draws no randomness), so churn runs consume the
   // same rng streams as churn-free ones. Clients start on epoch 0's view
   // and only learn of newer epochs observably (see ClientConfig).
   std::shared_ptr<const EpochedFamily> epochs;

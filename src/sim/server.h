@@ -1,36 +1,48 @@
-// Fail-stop replica servers.
+// The replicated register's server side and the client's reply tally,
+// shared by the discrete-event simulator (sim/client, which passes
+// Simulator::now()) and the staged service (service/runner, which passes
+// its virtual timeline).
 //
-// Each server alternates exponentially-distributed up and down periods
+// Each Replica alternates exponentially-distributed up and down periods
 // (stationary unavailability p = mean_down / (mean_up + mean_down)), chosen
 // to match the paper's i.i.d. failure model while letting failures move
-// during a run. A crashed server drops requests; recovery keeps its register
-// state (crash, not amnesia). The replica state is a timestamped register
-// value: timestamps are (counter, writer_id) pairs ordered lexicographically,
-// the standard ABD tag. Servers hold one register per *object id*, so a
-// single simulated fleet can serve many replicated objects (the Sect. 6.3
-// rotation scenario).
+// during a run. The process advances lazily and only forward, so callers
+// must not let `now` run backwards. A crashed replica drops requests;
+// recovery keeps its register state (crash, not amnesia). The replica state
+// is a timestamped register value: timestamps are (counter, writer_id)
+// pairs ordered lexicographically, the standard ABD tag. Replicas hold one
+// register per *object id*, so a single fleet can serve many replicated
+// objects (the Sect. 6.3 rotation scenario).
 //
 // Fault-injection hooks (src/faults): `force_crash` / `force_up` pin the
-// server's availability for a bounded window regardless of the stochastic
+// replica's availability for a bounded window regardless of the stochastic
 // failure process (which keeps advancing underneath and resumes control
 // when the override lapses — so a fault plan composes with, rather than
-// replaces, background churn), and `set_gray` inflates service_time so the
-// server degrades without dropping requests. The server also keeps the
-// highest timestamp it has ever held per object — surviving amnesia wipes
-// on purpose — so the chaos harness can count reads served below that
-// high-water mark (`ts_regressions`), the paper's timestamp-monotonicity
-// invariant made checkable.
+// replaces, background churn), `set_gray` inflates service_time so the
+// replica degrades without dropping requests, and `set_lie` corrupts its
+// replies. The replica also keeps the highest timestamp it has ever held
+// per object — surviving amnesia wipes on purpose — so the chaos harness
+// can count reads served below that high-water mark (`ts_regressions`),
+// the paper's timestamp-monotonicity invariant made checkable.
+//
+// A replica keeps plain counts (ReplicaCounts); the simulator harness and
+// the service runner each publish them once per run under their own metric
+// names (publish_replica_counts).
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
-#include "sim/simulator.h"
 #include "util/rng.h"
 
 namespace sqs {
+
+struct EpochedFamily;
 
 struct Timestamp {
   std::uint64_t counter = 0;
@@ -114,58 +126,65 @@ struct ServerConfig {
   bool validate() const;
 };
 
-class SimServer {
+struct ReplicaCounts {
+  std::uint64_t dropped_requests = 0;  // requests that arrived while down
+  std::uint64_t ts_regressions = 0;    // reads served below max_timestamp_seen
+  std::uint64_t lies_told = 0;         // corrupted replies + fabricated acks
+};
+
+class Replica {
  public:
-  SimServer(Simulator* sim, int id, const ServerConfig& config, Rng rng);
+  Replica(int id, const ServerConfig& config, Rng rng);
 
   int id() const { return id_; }
-  bool up() const;
 
-  // Handles a probe/read of `object` issued by `client`: returns the
-  // current (timestamp, value) if up, nullopt if crashed (the message is
-  // silently dropped). Under an active lie window the *reply* is corrupted
-  // per LieMode — the stored cell is untouched.
-  std::optional<std::pair<Timestamp, std::uint64_t>> handle_read(
-      int object = 0, int client = -1);
+  // True if the replica is up at `now` (forced windows override the
+  // stochastic process; crash wins when both are active).
+  bool up(double now) const;
 
-  // Handles a write to `object`: applies if it advances the timestamp;
-  // returns true (ack) if up. A kFabricateAck lie window acks without
-  // applying.
-  bool handle_write(const Timestamp& ts, std::uint64_t value, int object = 0);
+  // A read of `object` issued by `client` at `now`: the current (timestamp,
+  // value), or nullopt if down (the request is dropped) or fenced. Under an
+  // active lie window the *reply* is corrupted per LieMode — the stored cell
+  // is untouched.
+  std::optional<std::pair<Timestamp, std::uint64_t>> read(double now,
+                                                          int object = 0,
+                                                          int client = -1);
 
-  // Pins the server down ("crash") or up ("restart") for `duration`
-  // seconds. A window extends, never shortens, an earlier one of the same
-  // kind; if both are active, crash wins.
-  void force_crash(double duration);
-  void force_up(double duration);
+  // A write of `object` at `now`: applies (ts, value) if ts advances the
+  // register and acks (true) either way; false if down or fenced. A
+  // kFabricateAck lie window acks without applying.
+  bool write(double now, const Timestamp& ts, std::uint64_t value,
+             int object = 0);
+
+  // Pins the replica down ("crash") or up ("restart") over
+  // [now, now + duration). A window extends, never shortens, an earlier one
+  // of the same kind; if both are active, crash wins.
+  void force_crash(double now, double duration);
+  void force_up(double now, double duration);
 
   // Gray degradation: service_time is multiplied by `factor` until the
-  // window expires (a new call replaces the current window). The server
+  // window expires (a new call replaces the current window). The replica
   // still answers — slowly enough that clients may time its replies out.
-  void set_gray(double factor, double duration);
-  bool gray_active() const { return sim_->now() < gray_until_; }
+  void set_gray(double factor, double now, double duration);
+  bool gray_active(double now) const { return now < gray_until_; }
 
   // Byzantine lie window: replies are corrupted per `mode` until the window
   // expires (a new call replaces the current window, like set_gray).
-  void set_lie(LieMode mode, double duration);
-  bool lie_active() const {
-    return lie_mode_ != LieMode::kNone && sim_->now() < lie_until_;
+  void set_lie(LieMode mode, double now, double duration);
+  bool lie_active(double now) const {
+    return lie_mode_ != LieMode::kNone && now < lie_until_;
   }
-  // Replies this server corrupted (reads answered with a fabrication or a
-  // stale pretense, write acks fabricated) — ground truth for the chaos
-  // harness's fabricated-read accounting.
-  std::uint64_t lies_told() const { return lies_told_; }
 
-  double service_time() const {
-    return config_.service_time * (gray_active() ? gray_factor_ : 1.0);
+  double service_time(double now) const {
+    return config_.service_time * (gray_active(now) ? gray_factor_ : 1.0);
   }
 
   // --- Epoch membership (reconfiguration, src/core/epoch.h) ---------------
-  // Membership and the epoch stamp are set only by scheduled transition
-  // events in the harness; neither touches any rng stream. A server that is
-  // not a member of the current epoch is *retired*: it fences requests with
-  // an epoch rejection (observable by the client, unlike a crash) unless
-  // the serve_while_retired bug switch is on.
+  // Membership and the epoch stamp are set only by apply_epoch_transition;
+  // neither touches any rng stream. A replica that is not a member of the
+  // current epoch is *retired*: it fences requests with an epoch rejection
+  // (observable by the client, unlike a crash) unless the
+  // serve_while_retired bug switch is on. A fence is an answer, not a drop.
   void set_member(bool member) { retired_ = !member; }
   bool retired() const { return retired_; }
   void set_epoch(int epoch) { epoch_ = epoch; }
@@ -175,28 +194,45 @@ class SimServer {
   }
 
   // State transfer at an epoch boundary (join-sync / drain-on-leave):
-  // adopts (ts, value) if it advances the cell. Applied directly by the
-  // transition event — instantaneous, draws no randomness, and works even
-  // while the destination is crashed (the transfer is modeled as completing
-  // on recovery).
+  // adopts (ts, value) if it advances the cell. Instantaneous, draws no
+  // randomness, and works even while the replica is down (the transfer is
+  // modeled as completing on recovery).
   void adopt_state(const Timestamp& ts, std::uint64_t value, int object = 0);
 
   Timestamp timestamp(int object = 0) const;
   std::uint64_t value(int object = 0) const;
 
-  // Highest timestamp this server has ever stored for `object` — NOT
+  // Highest timestamp this replica has ever stored for `object` — NOT
   // cleared by amnesia recovery, so it witnesses what a state wipe lost.
   Timestamp max_timestamp_seen(int object = 0) const;
-  // Reads that returned a timestamp below max_timestamp_seen — zero under
-  // the paper's crash model, positive once amnesia rolls state back.
-  std::uint64_t ts_regressions() const { return ts_regressions_; }
-  // Requests (read or write) dropped because the server was down.
-  std::uint64_t dropped_requests() const { return dropped_requests_; }
+
+  // Lifetime counts: reads served below max_timestamp_seen (zero under the
+  // paper's crash model, positive once amnesia rolls state back), requests
+  // dropped while down, and replies this replica corrupted — ground truth
+  // for the chaos harness's fabricated-read accounting.
+  const ReplicaCounts& counts() const { return counts_; }
+  std::uint64_t ts_regressions() const { return counts_.ts_regressions; }
+  std::uint64_t dropped_requests() const { return counts_.dropped_requests; }
+  std::uint64_t lies_told() const { return counts_.lies_told; }
+
+ protected:
+  struct Cell {
+    Timestamp ts;
+    std::uint64_t value = 0;
+  };
+  // True if up at `now`; otherwise the request is dropped and counted.
+  bool accept(double now);
+  // The cell a read of `object` at `now` is served from, or nullptr when
+  // the replica is down or fenced; counts a read below the high-water mark.
+  const Cell* serve_cell(double now, int object);
+  // What a reply to `client` reports for `cell`: the truth, or the active
+  // lie window's corruption of it.
+  std::pair<Timestamp, std::uint64_t> reported(const Cell& cell, double now,
+                                               int client);
 
  private:
-  void advance_failure_process() const;
+  void advance_failure_process(double now) const;
 
-  Simulator* sim_;
   int id_;
   ServerConfig config_;
   mutable Rng rng_;
@@ -210,16 +246,107 @@ class SimServer {
   int epoch_ = 0;
   LieMode lie_mode_ = LieMode::kNone;
   double lie_until_ = 0.0;
-  std::uint64_t lies_told_ = 0;
-  std::uint64_t ts_regressions_ = 0;
-  std::uint64_t dropped_requests_ = 0;
+  ReplicaCounts counts_;
 
-  struct Cell {
-    Timestamp ts;
-    std::uint64_t value = 0;
-  };
   mutable std::unordered_map<int, Cell> objects_;
   std::unordered_map<int, Timestamp> max_ts_seen_;
+};
+
+// A caller's replica vector (of Replica or a subclass), so the shared epoch
+// transition and fault dispatch act on the simulator's and the service's
+// fleets alike.
+class ReplicaFleet {
+ public:
+  template <class R>
+  ReplicaFleet(std::vector<R>& replicas)  // NOLINT(runtime/explicit)
+      : data_(&replicas),
+        size_(replicas.size()),
+        at_([](void* v, std::size_t i) -> Replica& {
+          return (*static_cast<std::vector<R>*>(v))[i];
+        }) {}
+
+  std::size_t size() const { return size_; }
+  Replica& operator[](std::size_t i) const { return at_(data_, i); }
+
+ private:
+  void* data_;
+  std::size_t size_;
+  Replica& (*at_)(void*, std::size_t);
+};
+
+// The fleet's counts summed over every replica.
+ReplicaCounts fleet_counts(ReplicaFleet fleet);
+
+// Adds `counts` to the registry counters <prefix>.dropped_requests,
+// <prefix>.ts_regressions and <prefix>.lies_told. All-zero counts register
+// nothing, so a run without drops, regressions or lies adds no names.
+void publish_replica_counts(const std::string& prefix,
+                            const ReplicaCounts& counts);
+
+// Crosses the boundary into `epoch` of `schedule`: drain-on-leave (every
+// departing replica's register is adopted by every member of the new view,
+// so a write acked only by a leaver survives its retirement), then
+// join-sync (joiners adopt the newest state held anywhere in the old view),
+// then every replica's membership and epoch stamp flip. Deterministic and
+// rng-free, so churn never shifts a random stream.
+void apply_epoch_transition(const EpochedFamily& schedule, int epoch,
+                            ReplicaFleet fleet);
+
+// One acquisition's replies, indexed by family index — a single-slot
+// quorum certificate: add() every reply that joins the quorum, then
+// decide(b). The simulator client and the service runner both fold replies
+// in index order through it.
+class ReplyTally {
+ public:
+  struct Decision {
+    // False only when a masking vote (b > 0) found no pair with b+1
+    // vouchers: the op fails instead of returning a possible fabrication.
+    bool ok = false;
+    // The adopted pair: a read returns it, a write's new timestamp grows
+    // from ts. The unwritten register is ({}, 0).
+    Timestamp ts;
+    std::uint64_t value = 0;
+    // Family index of the first reply carrying the adopted pair that a
+    // retired replica served, or -1 (a retired read).
+    int retired_index = -1;
+  };
+
+  // Empties the tally for an acquisition over `universe` family indices;
+  // storage is reused, so a warm tally never allocates.
+  void reset(int universe) {
+    slots_.resize(static_cast<std::size_t>(universe));
+    for (Slot& s : slots_) s.reached = false;
+    any_retired_ = false;
+  }
+  // Records the reply of family index `index`; `from_retired` marks a reply
+  // served by a replica that was retired AT SERVE TIME.
+  void add(int index, const Timestamp& ts, std::uint64_t value,
+           bool from_retired = false) {
+    slots_[static_cast<std::size_t>(index)] = {ts, value, true, from_retired};
+    any_retired_ = any_retired_ || from_retired;
+  }
+  // b = 0: the fail-stop fold — the max-timestamp reply over S+, the first
+  // in index order on ties. b > 0: the Malkhi–Reiter–Wool masking vote —
+  // the highest-timestamped pair reported identically by >= b+1 replies.
+  Decision decide(int b) const;
+
+  int size() const { return static_cast<int>(slots_.size()); }
+  bool reached(int index) const {
+    return slots_[static_cast<std::size_t>(index)].reached;
+  }
+  const Timestamp& timestamp(int index) const {
+    return slots_[static_cast<std::size_t>(index)].ts;
+  }
+
+ private:
+  struct Slot {
+    Timestamp ts;
+    std::uint64_t value = 0;
+    bool reached = false;
+    bool retired = false;
+  };
+  std::vector<Slot> slots_;
+  bool any_retired_ = false;
 };
 
 }  // namespace sqs

@@ -8,13 +8,17 @@
 
 #include <cstdint>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/constructions.h"
+#include "core/masking.h"
 #include "faults/chaos.h"
+#include "faults/churn.h"
+#include "faults/family_spec.h"
 #include "obs/recorder.h"
 #include "obs/telemetry.h"
 #include "obs/timeline.h"
@@ -272,6 +276,59 @@ TEST(Recorder, OpIdPropagatesThroughAllStagesUnderPartition) {
 }
 
 // --- the chaos black box ----------------------------------------------------
+
+TEST(Recorder, CertRejectedProbeMissCarriesTheTimeSpent) {
+  // A liar's cert-rejected reply arrives within its round trip, so its
+  // kProbeMiss is charged that round trip, not the full probe timeout.
+  const MaskingThresholdFamily family(12, 1);
+  RecorderScope scope;
+  ServiceConfig config = tiny_service();
+  config.plan = make_byzantine_plan(12, 1, 0.2, 1.6);
+  config.lie_tolerance = family.masking_b();
+  ServiceRunner runner(family, config);
+  const ServiceResult result = runner.serve(generate_load(tiny_load()));
+  ASSERT_GT(result.cert_rejects, 0u);
+
+  const std::uint64_t timeout_us = obs::us(config.probe_timeout);
+  std::uint64_t misses = 0, short_misses = 0;
+  for (const obs::FlightEvent& e : obs::collect_flight_events()) {
+    if (e.kind != obs::FlightKind::kProbeMiss) continue;
+    ++misses;
+    EXPECT_LE(e.payload, timeout_us);
+    if (e.payload < timeout_us) ++short_misses;
+  }
+  EXPECT_GT(misses, 0u);
+  EXPECT_GT(short_misses, 0u);
+}
+
+TEST(Recorder, FencedProbeRecordsOnlyTheFence) {
+  // A probe a retired replica fences is an answer, not a miss: the served
+  // path records kEpochFenced for it and no kProbeMiss, as the sim does.
+  FamilySpec spec;
+  spec.kind = "majority";
+  spec.n = 12;
+  const auto family = spec.make();
+  ASSERT_NE(family, nullptr);
+  RecorderScope scope;
+  ServiceConfig config = tiny_service();
+  config.epochs = build_epoch_schedule(make_replace_churn(0.5, 0.5, 3),
+                                       family_factory(spec), 12);
+  ASSERT_NE(config.epochs, nullptr);
+  ServiceRunner runner(*family, config);
+  const ServiceResult result = runner.serve(generate_load(tiny_load()));
+  ASSERT_GT(result.epoch_rejects, 0u);
+
+  std::set<std::tuple<obs::OpId, std::uint64_t, std::int32_t>> fenced;
+  const std::vector<obs::FlightEvent> events = obs::collect_flight_events();
+  for (const obs::FlightEvent& e : events)
+    if (e.kind == obs::FlightKind::kEpochFenced)
+      fenced.insert({e.op, e.time_us, e.replica});
+  EXPECT_EQ(fenced.size(), result.epoch_rejects);
+  for (const obs::FlightEvent& e : events) {
+    if (e.kind != obs::FlightKind::kProbeMiss) continue;
+    EXPECT_EQ(fenced.count({e.op, e.time_us, e.replica}), 0u);
+  }
+}
 
 TEST(Recorder, ChaosViolationWritesBlackBox) {
   const OptDFamily family(12, 2);

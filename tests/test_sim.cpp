@@ -110,7 +110,7 @@ TEST(Network, PartitionedClientLosesAllLinks) {
   config.link_mean_down = 1e-9;
   config.link_mean_up = 1e9;
   Network net(&sim, 2, 4, config, Rng(7));
-  net.partition_client(0, 10.0);
+  net.transport().partition_client(0, sim.now(), 10.0);
   for (int s = 0; s < 4; ++s) {
     EXPECT_FALSE(net.link_up(0, s));
     EXPECT_TRUE(net.link_up(1, s));
@@ -127,7 +127,7 @@ TEST(Network, BlockLinkIsPerPairAndExpires) {
   config.link_mean_down = 1e-9;
   config.link_mean_up = 1e9;
   Network net(&sim, 2, 3, config, Rng(9));
-  net.block_link(0, 1, 5.0);
+  net.transport().block_link(0, 1, sim.now(), 5.0);
   EXPECT_TRUE(net.link_up(0, 0));
   EXPECT_FALSE(net.link_up(0, 1));
   EXPECT_TRUE(net.link_up(0, 2));
@@ -138,19 +138,19 @@ TEST(Network, BlockLinkIsPerPairAndExpires) {
 
 // ---- servers ----
 
-TEST(SimServer, StationaryFailureRate) {
+TEST(Replica, StationaryFailureRate) {
   Simulator sim;
   ServerConfig config;
   config.mean_up = 8.0;
   config.mean_down = 2.0;  // stationary p = 0.2
   int down = 0, samples = 0;
-  std::vector<SimServer> servers;
+  std::vector<Replica> servers;
   Rng rng(11);
-  for (int i = 0; i < 100; ++i) servers.emplace_back(&sim, i, config, rng.split(i));
+  for (int i = 0; i < 100; ++i) servers.emplace_back(i, config, rng.split(i));
   for (int step = 0; step < 40; ++step) {
     sim.run_until(sim.now() + 3.0);
     for (auto& s : servers) {
-      if (!s.up()) ++down;
+      if (!s.up(sim.now())) ++down;
       ++samples;
     }
   }
@@ -171,21 +171,20 @@ TEST(Timestamp, LexicographicOrdering) {
   EXPECT_LT(Timestamp{}, (Timestamp{1, -1}));
 }
 
-TEST(SimServer, WriteAdvancesTimestampMonotonically) {
-  Simulator sim;
+TEST(Replica, WriteAdvancesTimestampMonotonically) {
   ServerConfig config;
   config.mean_down = 1e-9;
   config.mean_up = 1e9;
-  SimServer server(&sim, 0, config, Rng(13));
-  EXPECT_TRUE(server.handle_write(Timestamp{3, 1}, 30));
+  Replica server(0, config, Rng(13));
+  EXPECT_TRUE(server.write(0.0, Timestamp{3, 1}, 30));
   EXPECT_EQ(server.value(), 30u);
   // Older write is acked but not applied.
-  EXPECT_TRUE(server.handle_write(Timestamp{2, 9}, 20));
+  EXPECT_TRUE(server.write(0.0, Timestamp{2, 9}, 20));
   EXPECT_EQ(server.value(), 30u);
   // Equal counter, higher writer id wins the lexicographic order.
-  EXPECT_TRUE(server.handle_write(Timestamp{3, 2}, 32));
+  EXPECT_TRUE(server.write(0.0, Timestamp{3, 2}, 32));
   EXPECT_EQ(server.value(), 32u);
-  const auto read = server.handle_read();
+  const auto read = server.read(0.0);
   ASSERT_TRUE(read.has_value());
   EXPECT_EQ(read->second, 32u);
 }
