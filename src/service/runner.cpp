@@ -66,17 +66,14 @@ std::vector<std::uint64_t> service_latency_bounds() {
 
 bool ServiceConfig::validate(int num_servers) const {
   bool ok = network.validate() && server.validate();
+  if (!RegisterProtocolConfig::validate("ServiceConfig")) ok = false;
   const auto reject = [&ok](const char* what, double value) {
     std::fprintf(stderr, "ServiceConfig: invalid %s %g\n", what, value);
     ok = false;
   };
   if (num_clients < 1) reject("num_clients", num_clients);
-  if (!(probe_timeout > 0.0)) reject("probe_timeout", probe_timeout);
   if (batch < 1) reject("batch", batch);
   if (threads < 0) reject("threads", threads);
-  if (lie_tolerance < 0) reject("lie_tolerance", lie_tolerance);
-  if (view_fetch_delay < 0.0) reject("view_fetch_delay", view_fetch_delay);
-  if (max_view_fetches < 0) reject("max_view_fetches", max_view_fetches);
   if (epochs != nullptr) {
     if (!epochs->validate()) {
       ok = false;
@@ -99,10 +96,9 @@ ServiceRunner::ServiceRunner(const QuorumFamily& family,
                  config.epochs != nullptr ? config.epochs->num_logical
                                           : family.universe_size(),
                  config.network, Rng(config.seed).split("network")),
-      strategy_(family.make_probe_strategy()),
       op_rng_base_(Rng(config.seed).split("ops")),
       fault_timeline_(config.plan.events),
-      lat_bounds_(service_latency_bounds()) {
+      op_(config) {
   // In epoch mode the fleet spans every logical id the schedule ever uses,
   // and the ctor family must be epoch 0's family (same universe size).
   const int world = config.epochs != nullptr ? config.epochs->num_logical
@@ -116,18 +112,21 @@ ServiceRunner::ServiceRunner(const QuorumFamily& family,
   if (config_.epochs != nullptr) {
     const EpochedFamily& sched = *config_.epochs;
     assert(sched.entry(0).family->universe_size() == family.universe_size());
-    epoch_strategies_.reserve(sched.epochs.size());
     for (const EpochEntry& e : sched.epochs)
-      epoch_strategies_.push_back(e.family->make_probe_strategy());
+      strategies_.push_back(e.family->make_probe_strategy());
     for (std::size_t i = 0; i < replicas_.size(); ++i)
       replicas_[i].set_member(sched.entry(0).view.contains(static_cast<int>(i)));
+  } else {
+    strategies_.push_back(family.make_probe_strategy());
   }
   std::stable_sort(fault_timeline_.begin(), fault_timeline_.end(),
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.at < b.at;
                    });
-  tally_.reset(static_cast<int>(replicas_.size()));  // warm the storage
-  lat_counts_.assign(lat_bounds_.size() + 1, 0);
+  obs::HistogramSnapshot& latency = totals_.latency_us;
+  latency.name = "service.op_latency_us";
+  latency.bounds = service_latency_bounds();
+  latency.counts.assign(latency.bounds.size() + 1, 0);
   if (config.timeline_window_us > 0)
     timeline_ = obs::Timeline(config.timeline_window_us,
                               service_latency_bounds());
@@ -159,22 +158,15 @@ void ServiceRunner::apply_epochs_until(double now) {
   }
 }
 
-void ServiceRunner::pop_completed_writes(double now) {
-  while (!pending_writes_.empty() && pending_writes_.top().finish <= now) {
-    frontier_ts_ = std::max(frontier_ts_, pending_writes_.top().ts);
-    pending_writes_.pop();
-  }
-}
-
 void ServiceRunner::record_latency(std::uint64_t us) {
-  const std::size_t bucket = static_cast<std::size_t>(
-      std::lower_bound(lat_bounds_.begin(), lat_bounds_.end(), us) -
-      lat_bounds_.begin());
-  ++lat_counts_[bucket];
-  ++lat_count_;
-  lat_sum_ += us;
-  lat_min_ = std::min(lat_min_, us);
-  lat_max_ = std::max(lat_max_, us);
+  obs::HistogramSnapshot& h = totals_.latency_us;
+  ++h.counts[static_cast<std::size_t>(
+      std::lower_bound(h.bounds.begin(), h.bounds.end(), us) -
+      h.bounds.begin())];
+  h.min = h.count == 0 ? us : std::min(h.min, us);
+  ++h.count;
+  h.sum += us;
+  h.max = std::max(h.max, us);
   ServiceMetrics::get().op_latency_us.record(us);
 }
 
@@ -183,7 +175,7 @@ Reply ServiceRunner::execute_op(const Request& req) {
   last_arrival_ = std::max(last_arrival_, arrival);
   apply_faults_until(arrival);
   apply_epochs_until(arrival);
-  pop_completed_writes(arrival);
+  const Timestamp frontier = audit_.frontier(arrival);
 
   const obs::OpId op = obs::make_op_id(obs::kServiceStream, req.seq);
   obs::flight(obs::FlightKind::kArrival, op, req.arrival_us, -1, req.client);
@@ -202,18 +194,15 @@ Reply ServiceRunner::execute_op(const Request& req) {
   rep.seq = req.seq;
   rep.kind = req.kind;
 
-  // Acquisition: sequential timeout probing in virtual time, the SimClient
-  // loop evaluated synchronously. A probe's round trip is to-server leg +
-  // replica queueing/service + to-client leg; replies later than
-  // probe_timeout count as failures (the server still did the work). In
-  // epoch mode the runner probes under its own (possibly stale) adopted
-  // view: family indices map to logical replicas through the view, retired
-  // replicas fence probes with an observable epoch rejection, and a failed
-  // acquisition with epoch evidence re-probes under a freshly fetched view
-  // (bounded, fixed-cost, rng-free — bit-identity holds at any thread
-  // count because all of this is solo-stage arrival-ordered state).
+  // Acquisition: RegisterOp's probe loop evaluated synchronously in virtual
+  // time. A probe's round trip is to-server leg + replica queueing/service
+  // + to-client leg; replies later than probe_timeout count as failures
+  // (the server still did the work). In epoch mode the runner probes under
+  // its own (possibly stale) adopted view, and a failed acquisition with
+  // epoch evidence re-probes under a freshly fetched view (bounded,
+  // fixed-cost, rng-free — bit-identity holds at any thread count because
+  // all of this is solo-stage arrival-ordered state).
   const double timeout = config_.probe_timeout;
-  const bool epoch_mode = config_.epochs != nullptr;
   const int client = static_cast<int>(req.client);
   // The reply leg of a request sent at `sent` that left replica `dst` at
   // `done`: the round trip, or nullopt when the reply is lost or late.
@@ -226,116 +215,67 @@ Reply ServiceRunner::execute_op(const Request& req) {
   };
   Rng op_rng = op_rng_base_.split(req.seq);
   double t = arrival;
-  std::uint32_t probes = 0;
-  bool acquired = false;
-  bool saw_newer_epoch = false;
-  int view_fetches = 0;
-  ProbeStrategy* strategy = strategy_.get();
-  const MembershipView* view = nullptr;
+  op_.start(op);
   for (;;) {
-    if (epoch_mode) {
-      strategy =
-          epoch_strategies_[static_cast<std::size_t>(view_epoch_)].get();
-      view = &config_.epochs->entry(view_epoch_).view;
-      saw_newer_epoch = false;
-    }
-    strategy->reset(&op_rng);
-    tally_.reset(view != nullptr ? view->universe_size()
-                                 : static_cast<int>(replicas_.size()));
-    while (strategy->status() == ProbeStatus::kInProgress) {
-      const int s = strategy->next_server();
-      const int dst =
-          view != nullptr ? view->members[static_cast<std::size_t>(s)] : s;
-      ++probes;
+    op_.begin_attempt(
+        strategies_[static_cast<std::size_t>(view_epoch_)].get(), &op_rng,
+        config_.epochs ? &config_.epochs->entry(view_epoch_).view : nullptr);
+    while (op_.probing()) {
+      const RegisterOp::Probe p = op_.next();
+      ServiceReplica& replica = replicas_[static_cast<std::size_t>(p.replica)];
       const double t0 = t;
-      bool reached = false;
-      bool answered = false;  // timely reply (data, fence, or bad cert)
-      bool fenced = false;
-      const Transport::Delivery to = transport_.attempt(client, dst, t);
+      // A retired replica answers — at normal queueing cost — with an epoch
+      // fence instead of register state.
+      const bool fenced = replica.fences_requests();
+      std::optional<ServiceReplica::ReadServed> served;
+      std::optional<double> rtt;  // a timely answer's round trip
+      const Transport::Delivery to = transport_.attempt(client, p.replica, t);
       if (to.delivered) {
-        ServiceReplica& replica = replicas_[static_cast<std::size_t>(dst)];
-        // A retired replica answers — at normal queueing cost — with an
-        // epoch fence instead of register state: negative evidence for this
-        // view's quorum, positive evidence of staleness.
-        fenced = replica.fences_requests();
-        std::optional<ServiceReplica::ReadServed> served;
         std::optional<double> done;
         if (fenced) {
           done = replica.serve_fence(t + to.latency, arrival);
-        } else {
-          served = replica.serve_read(0, t + to.latency, arrival, client);
-          if (served) done = served->done;
+        } else if ((served = replica.serve_read(0, t + to.latency, arrival,
+                                                client))) {
+          done = served->done;
         }
-        if (!done) ++op_drops;
-        const std::optional<double> rtt =
-            done ? reply_rtt(dst, t, *done) : std::nullopt;
-        answered = rtt.has_value();
-        fenced = fenced && answered;
-        if (fenced) {
-          saw_newer_epoch = true;
-          ++totals_.epoch_rejects;
-          obs::flight(obs::FlightKind::kEpochFenced, op, us(t0), dst,
-                      static_cast<std::uint64_t>(replica.epoch()));
-        } else if (answered) {
-          // The reply arrived in time; it joins the quorum only if its
-          // certificate matches what it reports. A lying replica signs its
-          // true state, so its fabrication fails here and the probe counts
-          // as a miss (the client spent the rtt, not the timeout).
-          reached = !config_.verify_replica_certs ||
-                    served->cert ==
-                        replica_cert(dst, served->ts, served->value);
-          if (reached) {
-            tally_.add(s, served->ts, served->value, replica.retired());
-            if (epoch_mode && replica.epoch() > view_epoch_)
-              saw_newer_epoch = true;
-          } else {
-            ++totals_.cert_rejects;
-          }
-        }
-        if (answered) t += *rtt;
+        if (done)
+          rtt = reply_rtt(p.replica, t, *done);
+        else
+          ++op_drops;
       }
-      if (!answered) t += timeout;
-      if (!fenced)
-        obs::flight(reached ? obs::FlightKind::kProbe
-                            : obs::FlightKind::kProbeMiss,
-                    op, us(t0), dst, us(t - t0));
-      strategy->observe(s, reached);
+      t += rtt ? *rtt : timeout;
+      if (rtt && fenced) {
+        ++totals_.epoch_rejects;
+        op_.fence(p, us(t0), replica.epoch());
+      } else if (rtt && (!config_.verify_replica_certs ||
+                         served->cert == replica_cert(p.replica, served->ts,
+                                                      served->value))) {
+        op_.reply(p, us(t0), us(t - t0), served->ts, served->value,
+                  replica.retired(), replica.epoch());
+      } else {
+        // A lying replica signs its true state, so its fabrication fails
+        // the cert check and the probe is a miss that cost the rtt.
+        if (rtt) ++totals_.cert_rejects;
+        op_.miss(p, us(t0), us(t - t0));
+      }
     }
-    acquired = strategy->status() == ProbeStatus::kAcquired;
-    if (acquired || !epoch_mode || !saw_newer_epoch ||
-        !config_.refresh_views || current_epoch_ <= view_epoch_ ||
-        view_fetches >= config_.max_view_fetches)
-      break;
-    // Stale-view recovery: a failed acquisition with epoch evidence fetches
-    // the current view (fixed delay, no rng draw) and re-probes under it.
-    ++view_fetches;
+    if (!op_.should_fetch_view(current_epoch_, view_epoch_)) break;
     ++totals_.view_refreshes;
     t += config_.view_fetch_delay;
     view_epoch_ = current_epoch_;
-    obs::flight(obs::FlightKind::kViewRefresh, op, us(t), -1,
-                static_cast<std::uint64_t>(view_epoch_));
+    op_.note_view_fetch(us(t), view_epoch_);
   }
-  // A completed op (either outcome) that saw epoch evidence refreshes the
-  // runner's view for subsequent ops — the asynchronous learn path.
-  if (epoch_mode && saw_newer_epoch && config_.refresh_views &&
-      current_epoch_ > view_epoch_) {
+  // A completed op with epoch evidence learns the view for subsequent ops.
+  if (op_.finish(us(t), current_epoch_, view_epoch_)) {
     ++totals_.view_refreshes;
     view_epoch_ = current_epoch_;
-    obs::flight(obs::FlightKind::kViewRefresh, op, us(t), -1,
-                static_cast<std::uint64_t>(view_epoch_));
   }
-  obs::flight(acquired ? obs::FlightKind::kQuorumAcquired
-                       : obs::FlightKind::kQuorumFailed,
-              op, us(t), -1, probes);
+  const auto probes = static_cast<std::uint32_t>(op_.num_probes());
   totals_.probes += probes;
   rep.probes = probes;
   double finish = t;
 
-  // Under a lie tolerance only a pair vouched for by more replicas than can
-  // lie is adopted (reads) or grown from (writes); no such pair fails the op
-  // instead of fabricating.
-  const ReplyTally::Decision d =
-      acquired ? tally_.decide(config_.lie_tolerance) : ReplyTally::Decision{};
+  const ReplyTally::Decision d = op_.decide();
   if (req.kind == OpKind::kRead) {
     ++totals_.reads;
     if (d.ok) {
@@ -343,15 +283,11 @@ Reply ServiceRunner::execute_op(const Request& req) {
       rep.ok = true;
       rep.ts = d.ts;
       rep.value = d.value;
-      if (d.ts < frontier_ts_) {
+      if (d.ts < frontier) {
         ++totals_.stale_reads;
         obs::flight(obs::FlightKind::kStaleRead, op, us(t));
       }
-      // No-fabricated-write check, exact because the solo stage runs in
-      // arrival order: a non-zero binding must have been produced by some
-      // earlier ok write of this runner.
-      if (Timestamp{} < d.ts &&
-          genuine_writes_.count({d.ts.counter, d.ts.writer, d.value}) == 0) {
+      if (!audit_.genuine(d.ts, d.value)) {
         ++totals_.fabricated_reads;
         obs::flight(obs::FlightKind::kFabricatedRead, op, us(t), -1, d.value);
       }
@@ -360,7 +296,8 @@ Reply ServiceRunner::execute_op(const Request& req) {
       // serve_while_retired bug switch can get here.
       if (d.retired_index >= 0) {
         ++totals_.retired_reads;
-        obs::flight(obs::FlightKind::kRetiredRead, op, us(t), -1,
+        obs::flight(obs::FlightKind::kRetiredRead, op, us(t),
+                    op_.replica(d.retired_index),
                     static_cast<std::uint64_t>(d.ts.counter));
       }
     }
@@ -370,16 +307,15 @@ Reply ServiceRunner::execute_op(const Request& req) {
       ++totals_.writes_ok;
       const Timestamp new_ts{d.ts.counter + 1, client};
       // Push to every reached probed server in ascending family-index order
-      // (the order install paths use everywhere else; indices map to the
-      // wire through the op's view); each push resolves at its ack round
-      // trip or at the timeout, and the write completes when the last
-      // target resolves.
+      // (the order install paths use everywhere else); each push resolves
+      // at its ack round trip or at the timeout, and the write completes
+      // when the last target resolves.
       int acks = 0;
       double end = t;
-      for (int s = 0; s < tally_.size(); ++s) {
-        if (!tally_.reached(s)) continue;
-        const int dst =
-            view != nullptr ? view->members[static_cast<std::size_t>(s)] : s;
+      const ReplyTally& reached = op_.tally();
+      for (int s = 0; s < reached.size(); ++s) {
+        if (!reached.reached(s)) continue;
+        const int dst = op_.replica(s);
         const Transport::Delivery to = transport_.attempt(client, dst, t);
         std::optional<double> rtt;
         if (to.delivered) {
@@ -403,12 +339,7 @@ Reply ServiceRunner::execute_op(const Request& req) {
       rep.ok = true;
       rep.ts = new_ts;
       rep.value = req.value;
-      genuine_writes_.insert({new_ts.counter, new_ts.writer, req.value});
-      if (acks > 0) {
-        any_acked_write_ = true;
-        max_acked_ts_ = std::max(max_acked_ts_, new_ts);
-      }
-      pending_writes_.push(PendingWrite{end, new_ts});
+      audit_.record_write(new_ts, req.value, acks > 0, end);
       finish = end;
     }
   }
@@ -550,32 +481,15 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
   result.net_delivered = transport_.messages_delivered();
   result.net_dropped = transport_.messages_dropped();
 
-  // No-lost-acked-write: the highest acked write timestamp must still be
-  // readable on some replica (crashes preserve state; only amnesia can
-  // break this). In epoch mode only current members count — state stranded
-  // on a retired replica is invisible to every future quorum, so
-  // drain-on-leave must have moved it.
-  if (any_acked_write_) {
-    bool visible = false;
-    for (const ServiceReplica& r : replicas_) {
-      if (config_.epochs != nullptr && r.retired()) continue;
-      if (!(r.timestamp(0) < max_acked_ts_)) visible = true;
-    }
-    result.lost_acked_writes = visible ? 0 : 1;
-    if (!visible) {
-      obs::flight(obs::FlightKind::kLostWrite, obs::kNoOp, us(last_arrival_),
-                  -1, static_cast<std::uint64_t>(max_acked_ts_.counter));
-      obs::flight(obs::FlightKind::kViolation, obs::kNoOp, us(last_arrival_));
-    }
+  // No-lost-acked-write: the highest acked write must still be readable
+  // on some non-retired replica (state stranded on a retired replica is
+  // invisible to every future quorum, so drain-on-leave must have moved it).
+  result.lost_acked_writes = audit_.lost_acked_write(replicas_) ? 1 : 0;
+  if (result.lost_acked_writes > 0) {
+    obs::flight(obs::FlightKind::kLostWrite, obs::kNoOp, us(last_arrival_), -1,
+                static_cast<std::uint64_t>(audit_.max_acked().counter));
+    obs::flight(obs::FlightKind::kViolation, obs::kNoOp, us(last_arrival_));
   }
-
-  result.latency_us.name = "service.op_latency_us";
-  result.latency_us.bounds = lat_bounds_;
-  result.latency_us.counts = lat_counts_;
-  result.latency_us.count = lat_count_;
-  result.latency_us.sum = lat_sum_;
-  result.latency_us.min = lat_count_ > 0 ? lat_min_ : 0;
-  result.latency_us.max = lat_max_;
 
   result.reply_fingerprint = fnv1a64(encoded.data(), encoded.size());
   result.virtual_duration = last_arrival_;

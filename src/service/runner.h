@@ -38,9 +38,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <queue>
-#include <set>
-#include <tuple>
 #include <vector>
 
 #include "core/epoch.h"
@@ -51,15 +48,17 @@
 #include "obs/timeline.h"
 #include "service/message.h"
 #include "service/replica.h"
+#include "sim/register_op.h"
 #include "sim/transport.h"
 
 namespace sqs {
 
-struct ServiceConfig {
+// probe_timeout, lie_tolerance and the stale-view recovery knobs come from
+// RegisterProtocolConfig (sim/register_op.h), as in ClientConfig.
+struct ServiceConfig : RegisterProtocolConfig {
   NetworkConfig network;
   ServerConfig server;
   int num_clients = 64;
-  double probe_timeout = 0.25;  // seconds a probe waits for its reply
   int batch = 256;              // requests per solo ticket
   int threads = 0;              // total participating threads; 0 = default
   std::uint64_t seed = 1;
@@ -75,11 +74,6 @@ struct ServiceConfig {
   // liars it strips fabrications off the quorum path. Request certificates
   // are always verified in the prologue.
   bool verify_replica_certs = true;
-  // Masking vote (ReplyTally::decide, sim/server.h): when > 0 a read adopts
-  // only the highest-timestamped reply vouched for by >= lie_tolerance+1
-  // replicas, and a write derives its timestamp from voted replies; no voted
-  // pair fails the op. 0 keeps the classic max-timestamp fold.
-  int lie_tolerance = 0;
 
   // --- Epoch reconfiguration (src/core/epoch.h) ---------------------------
   // Non-null turns on epoch mode: the fleet is sized to epochs->num_logical,
@@ -88,17 +82,9 @@ struct ServiceConfig {
   // crosses each entry's time (deterministic — no rng stream moves). The
   // runner itself is the stale-view client: it keeps probing under its last
   // adopted view until an op observes epoch evidence (a fenced probe or a
-  // reply stamped with a newer epoch) and refreshes via the bounded
-  // view-fetch path below.
+  // reply stamped with a newer epoch) and refreshes via RegisterOp's bounded
+  // view fetch.
   std::shared_ptr<const EpochedFamily> epochs;
-  // Stale-view recovery knobs (as in sim/client.h): a failed acquisition
-  // with epoch evidence re-probes under the fetched view after a fixed
-  // (rng-free) delay, at most max_view_fetches times per op; a successful op
-  // with evidence refreshes asynchronously. refresh_views = false pins the
-  // runner to its stale view forever — the designed-to-fail switch.
-  bool refresh_views = true;
-  double view_fetch_delay = 0.05;
-  int max_view_fetches = 4;
 
   // True iff every knob is usable for a fleet of `num_servers`; complaints
   // go to stderr, one line per bad field.
@@ -200,68 +186,47 @@ class ServiceRunner {
  private:
   void apply_faults_until(double now);
   void apply_epochs_until(double now);
-  void pop_completed_writes(double now);
   Reply execute_op(const Request& req);
 
   ServiceConfig config_;
   Transport transport_;
   std::vector<ServiceReplica> replicas_;
-  std::unique_ptr<ProbeStrategy> strategy_;
   Rng op_rng_base_;
 
   // Fault timeline, sorted by time; cursor advances with the arrivals.
   std::vector<FaultEvent> fault_timeline_;
   std::size_t next_fault_ = 0;
 
-  // Epoch mode (config_.epochs != nullptr): one probe strategy per epoch's
-  // family, an arrival-driven cursor like next_fault_, and the runner's own
-  // (possibly stale) adopted view. All solo-owned.
-  std::vector<std::unique_ptr<ProbeStrategy>> epoch_strategies_;
+  // One probe strategy per epoch's family (just the ctor family's outside
+  // epoch mode), an arrival-driven epoch cursor like next_fault_, and the
+  // runner's own (possibly stale) adopted view. All solo-owned.
+  std::vector<std::unique_ptr<ProbeStrategy>> strategies_;
   int next_epoch_ = 1;
   int current_epoch_ = 0;
   int view_epoch_ = 0;
 
-  // Register frontier: ok writes complete at a virtual finish time; a read
-  // is judged stale against the max timestamp among writes completed before
-  // its arrival.
-  struct PendingWrite {
-    double finish;
-    Timestamp ts;
-    bool operator>(const PendingWrite& other) const {
-      return finish > other.finish;
-    }
-  };
-  std::priority_queue<PendingWrite, std::vector<PendingWrite>,
-                      std::greater<PendingWrite>>
-      pending_writes_;
-  Timestamp frontier_ts_;
-  Timestamp max_acked_ts_;
-  bool any_acked_write_ = false;
   double last_arrival_ = 0.0;
 
-  // Solo-owned per-op scratch and lifetime totals. The tally is indexed in
-  // FAMILY-INDEX space (== logical ids outside epoch mode); the current view
+  // Solo-owned protocol state and lifetime totals. The op's tally is indexed
+  // in FAMILY-INDEX space (== logical ids outside epoch mode); the op's view
   // maps indices to logical replicas at every wire site.
-  ReplyTally tally_;
-  // The op counters of ServiceResult; serve() fills in the rest.
+  RegisterOp op_;
+  // Ok writes complete at a virtual finish time; a read is judged stale
+  // against the writes completed before its arrival. The solo stage runs in
+  // arrival order, so a read can only observe a binding after its write
+  // registered it — the fabricated-read check is exact and synchronous (no
+  // end-of-run pass like the sim harness needs).
+  RegisterAudit audit_;
+  // The op counters and the always-on latency histogram
+  // (service_latency_bounds buckets, so quantiles need no telemetry) of
+  // ServiceResult; serve() fills in the rest.
   ServiceResult totals_;
   // Replica counts already published to service.replica.* by serve().
   ReplicaCounts published_;
-  // (counter, writer, value) bindings of every ok write, solo-owned. The
-  // solo stage runs in arrival order, so a read can only observe a binding
-  // after its write registered it — the fabricated-read check is exact and
-  // synchronous (no end-of-run pass like the sim harness needs).
-  std::set<std::tuple<std::uint64_t, int, std::uint64_t>> genuine_writes_;
 
   // Solo-owned windowed series; disabled (window 0) unless configured.
   obs::Timeline timeline_;
 
-  // Always-on local latency histogram (service_latency_bounds buckets), so
-  // quantiles need no telemetry; snapshotted into ServiceResult.
-  std::vector<std::uint64_t> lat_bounds_;
-  std::vector<std::uint64_t> lat_counts_;
-  std::uint64_t lat_count_ = 0, lat_sum_ = 0;
-  std::uint64_t lat_min_ = ~0ull, lat_max_ = 0;
   void record_latency(std::uint64_t us);
 
   // Ticket state for the solo stage.

@@ -28,12 +28,11 @@ using obs::us;
 }  // namespace
 
 bool ClientConfig::validate() const {
-  bool ok = true;
+  bool ok = RegisterProtocolConfig::validate("ClientConfig");
   const auto reject = [&ok](const char* what, double value) {
     std::fprintf(stderr, "ClientConfig: invalid %s %g\n", what, value);
     ok = false;
   };
-  if (!(probe_timeout > 0.0)) reject("probe_timeout", probe_timeout);
   if (max_attempts < 1) reject("max_attempts", max_attempts);
   if (!(backoff_base >= 0.0)) reject("backoff_base", backoff_base);
   if (!(backoff_jitter >= 0.0 && backoff_jitter <= 1.0))
@@ -46,32 +45,29 @@ bool ClientConfig::validate() const {
   if (!(max_probe_timeout >= min_probe_timeout))
     reject("max_probe_timeout", max_probe_timeout);
   if (!(op_deadline >= 0.0)) reject("op_deadline", op_deadline);
-  if (lie_tolerance < 0)
-    reject("lie_tolerance", static_cast<double>(lie_tolerance));
-  if (!(view_fetch_delay >= 0.0)) reject("view_fetch_delay", view_fetch_delay);
-  if (max_view_fetches < 0)
-    reject("max_view_fetches", static_cast<double>(max_view_fetches));
   return ok;
 }
 
 struct SimClient::Acquisition {
+  explicit Acquisition(const RegisterProtocolConfig& config) : op(config) {}
+  // Null in epoch mode: each attempt resolves the family from the view.
   const QuorumFamily* family = nullptr;
-  // Epoch mode: the view the current attempt probes under (family index i
-  // -> logical server view->members[i]); nullptr in classic mode, where
-  // family indices ARE server ids.
-  const MembershipView* view = nullptr;
-  bool epoch_mode = false;
-  // Evidence of staleness gathered this attempt: a fenced probe or a reply
-  // stamped with a newer epoch.
-  bool saw_newer_epoch = false;
+  RegisterOp op;
   std::unique_ptr<ProbeStrategy> strategy;
   AcquisitionResult result;
   double op_start = 0.0;
   double probe_sent_at = 0.0;
   std::uint64_t pending_seq = 0;  // id of the in-flight probe; 0 = none
   int object = 0;
-  std::function<void(AcquisitionResult)> done;
+  std::function<void(Acquisition&)> done;
   Rng strategy_rng;
+
+  // True for the first outcome of probe `seq` (a reply races its timeout).
+  bool resolve(std::uint64_t seq) {
+    if (pending_seq != seq) return false;
+    pending_seq = 0;
+    return true;
+  }
 };
 
 SimClient::SimClient(Simulator* sim, Network* net,
@@ -94,376 +90,294 @@ double SimClient::current_probe_timeout() const {
 }
 
 void SimClient::acquire(std::function<void(AcquisitionResult)> done) {
-  // Epoch mode resolves family + membership per attempt from the client's
-  // own (possibly stale) view epoch.
-  start_op(epochs_ != nullptr ? nullptr : family_, /*object=*/0,
-           std::move(done));
+  start_op(default_family(), /*object=*/0,
+           [done = std::move(done)](Acquisition& a) { done(a.result); });
 }
 
 void SimClient::acquire(const QuorumFamily& family, int object,
                         std::function<void(AcquisitionResult)> done) {
-  start_op(&family, object, std::move(done));
+  start_op(&family, object,
+           [done = std::move(done)](Acquisition& a) { done(a.result); });
 }
 
 void SimClient::start_op(const QuorumFamily* family, int object,
-                         std::function<void(AcquisitionResult)> done) {
-  auto acq = std::make_shared<Acquisition>();
+                         std::function<void(Acquisition&)> done) {
+  auto acq = std::make_shared<Acquisition>(config_);
   acq->family = family;
-  acq->epoch_mode = family == nullptr;
   acq->op_start = sim_->now();
   acq->object = object;
   acq->done = std::move(done);
   acq->result.op = obs::make_op_id(1 + static_cast<std::uint32_t>(id_),
                                    next_op_++);
+  acq->op.start(acq->result.op);
   obs::flight(obs::FlightKind::kArrival, acq->result.op, us(acq->op_start), -1,
               static_cast<std::uint64_t>(id_));
   start_attempt(std::move(acq));
 }
 
 void SimClient::start_attempt(std::shared_ptr<Acquisition> acq) {
-  if (acq->epoch_mode) {
+  // Epoch mode probes under the client's own (possibly stale) view.
+  const QuorumFamily* family = acq->family;
+  const MembershipView* view = nullptr;
+  if (family == nullptr) {
     const EpochEntry& entry = epochs_->schedule->entry(view_epoch_);
-    acq->family = entry.family.get();
-    acq->view = &entry.view;
-    acq->result.view = acq->view;
-    acq->saw_newer_epoch = false;
+    family = entry.family.get();
+    view = &entry.view;
   }
-  const QuorumFamily& family = *acq->family;
   // Each attempt gathers fresh evidence; only num_probes/attempts carry
   // over, so the result reflects the final attempt's world view.
-  acq->result.probed = SignedSet(family.universe_size());
-  acq->result.quorum = SignedSet(family.universe_size());
-  acq->result.replies.reset(family.universe_size());
-  if (config_.use_partition_filter && net_->client_partition_active(id_)) {
-    // Beacon check: the beacon is an arbitrary node outside the client's
-    // domain, so during a partition it is unreachable with probability
-    // equal to the partitioned fraction.
-    const double fraction = net_->client_partition_fraction(id_);
-    if (rng_.bernoulli(fraction)) {
-      acq->result.filtered = true;
-      acq->strategy.reset();
-      // The failed beacon check costs one timeout before the attempt
-      // resolves (and can then be retried like any other failure).
-      sim_->schedule(current_probe_timeout(),
-                     [this, acq] { finish_attempt(acq, /*acquired=*/false); });
-      return;
-    }
+  acq->result.probed = SignedSet(family->universe_size());
+  acq->result.quorum = SignedSet(family->universe_size());
+  // Beacon check: the beacon is an arbitrary node outside the client's
+  // domain, so during a partition it is unreachable with probability equal
+  // to the partitioned fraction.
+  acq->result.filtered =
+      config_.use_partition_filter && net_->client_partition_active(id_) &&
+      rng_.bernoulli(net_->client_partition_fraction(id_));
+  if (acq->result.filtered) {
+    acq->strategy.reset();
+    acq->op.begin_attempt(nullptr, nullptr, view);
+    // The failed beacon check costs one timeout before the attempt
+    // resolves (and can then be retried like any other failure).
+    sim_->schedule(current_probe_timeout(),
+                   [this, acq] { finish_attempt(acq); });
+    return;
   }
-  acq->result.filtered = false;
-  acq->strategy = family.make_probe_strategy();
+  acq->strategy = family->make_probe_strategy();
   acq->strategy_rng = rng_.split(next_seq_ * 2 + 1);
-  acq->strategy->reset(&acq->strategy_rng);
+  acq->op.begin_attempt(acq->strategy.get(), &acq->strategy_rng, view);
   issue_next_probe(std::move(acq));
 }
 
 void SimClient::issue_next_probe(std::shared_ptr<Acquisition> acq) {
-  const ProbeStatus status = acq->strategy->status();
-  if (status != ProbeStatus::kInProgress) {
-    finish_attempt(std::move(acq), status == ProbeStatus::kAcquired);
+  if (!acq->op.probing()) {
+    finish_attempt(std::move(acq));
     return;
   }
   if (config_.op_deadline > 0.0 &&
       sim_->now() - acq->op_start >= config_.op_deadline) {
     acq->result.deadline_exceeded = true;
-    finish_attempt(std::move(acq), /*acquired=*/false);
+    finish_attempt(std::move(acq));
     return;
   }
 
-  // `server` is the family index the strategy probes; `target` is the
-  // logical server actually on the wire (identical in classic mode).
-  const int server = acq->strategy->next_server();
-  const int target = acq->view != nullptr ? acq->view->members[server] : server;
+  const RegisterOp::Probe p = acq->op.next();
   const std::uint64_t seq = ++next_seq_;
   acq->pending_seq = seq;
   acq->probe_sent_at = sim_->now();
-  ++acq->result.num_probes;
+  Replica* const s = &(*servers_)[static_cast<std::size_t>(p.replica)];
 
   // Request leg.
-  net_->send(id_, target, Network::Direction::kToServer,
-             [this, acq, seq, server, target] {
-    Replica& s = (*servers_)[static_cast<std::size_t>(target)];
-    if (acq->view != nullptr && s.fences_requests() && s.up(sim_->now())) {
+  net_->send(id_, p.replica, Network::Direction::kToServer,
+             [this, acq, seq, p, s] {
+    if (acq->op.view() && s->fences_requests() && s->up(sim_->now())) {
       // Epoch fence: the retired server answers — at normal cost — with a
       // rejection carrying the current epoch instead of register state.
-      sim_->schedule(s.service_time(sim_->now()),
-                     [this, acq, seq, server, target] {
-        net_->send(id_, target, Network::Direction::kToClient,
-                   [this, acq, seq, server, target] {
-                     finish_probe_fenced(acq, seq, server, target);
-                   });
+      sim_->schedule(s->service_time(sim_->now()), [this, acq, seq, p, s] {
+        net_->send(id_, p.replica, Network::Direction::kToClient,
+                   [this, acq, seq, p, s] {
+          if (!acq->resolve(seq)) return;
+          ++epoch_rejects_;
+          acq->result.probed.add_negative(p.index);
+          acq->op.fence(p, us(acq->probe_sent_at), s->epoch());
+          issue_next_probe(acq);
+        });
       });
       return;
     }
-    const auto reply = s.read(sim_->now(), acq->object, id_);
+    const auto reply = s->read(sim_->now(), acq->object, id_);
     if (!reply.has_value()) return;  // server crashed: no reply
     // Retirement is sampled AT SERVE TIME and carried with the reply: the
     // server may retire (or a fresh one take its slot) before the op
     // finishes, and only a reply actually served while retired counts as a
     // retired read.
-    const bool was_retired = s.retired();
+    const bool was_retired = s->retired();
     // Service delay, then the reply leg.
-    sim_->schedule(s.service_time(sim_->now()),
-                   [this, acq, seq, server, target, reply, was_retired] {
-      net_->send(id_, target, Network::Direction::kToClient,
-                 [this, acq, seq, server, target, reply, was_retired] {
-                   finish_probe(acq, seq, server, target, reply, was_retired);
-                 });
+    sim_->schedule(s->service_time(sim_->now()),
+                   [this, acq, seq, p, s, reply = *reply, was_retired] {
+      net_->send(id_, p.replica, Network::Direction::kToClient,
+                 [this, acq, seq, p, s, reply, was_retired] {
+        if (!acq->resolve(seq)) return;
+        const double rtt = sim_->now() - acq->probe_sent_at;
+        if (config_.adaptive_timeout) {
+          ewma_rtt_ = have_rtt_ ? (1.0 - config_.ewma_gain) * ewma_rtt_ +
+                                      config_.ewma_gain * rtt
+                                : rtt;
+          have_rtt_ = true;
+        }
+        acq->result.probed.add_positive(p.index);
+        acq->op.reply(p, us(acq->probe_sent_at), us(rtt), reply.first,
+                      reply.second, was_retired, s->epoch());
+        issue_next_probe(acq);
+      });
     });
   });
 
   // Timeout leg.
-  sim_->schedule(current_probe_timeout(), [this, acq, seq, server, target] {
-    finish_probe(acq, seq, server, target, std::nullopt, false);
+  sim_->schedule(current_probe_timeout(), [this, acq, seq, p] {
+    if (!acq->resolve(seq)) return;
+    acq->result.probed.add_negative(p.index);
+    acq->op.miss(p, us(acq->probe_sent_at),
+                 us(sim_->now() - acq->probe_sent_at));
+    issue_next_probe(acq);
   });
 }
 
-void SimClient::finish_probe(
-    std::shared_ptr<Acquisition> acq, std::uint64_t seq, int server,
-    int target, std::optional<std::pair<Timestamp, std::uint64_t>> reply,
-    bool served_retired) {
-  if (acq->pending_seq != seq) return;  // stale: already resolved
-  acq->pending_seq = 0;
-  const bool reached = reply.has_value();
-  obs::flight(reached ? obs::FlightKind::kProbe : obs::FlightKind::kProbeMiss,
-              acq->result.op, us(acq->probe_sent_at), target,
-              us(sim_->now() - acq->probe_sent_at));
-  if (reached) {
-    if (config_.adaptive_timeout) {
-      const double rtt = sim_->now() - acq->probe_sent_at;
-      ewma_rtt_ = have_rtt_
-                      ? (1.0 - config_.ewma_gain) * ewma_rtt_ +
-                            config_.ewma_gain * rtt
-                      : rtt;
-      have_rtt_ = true;
-    }
-    // Every reply is stamped with the server's epoch: a live server serves
-    // a stale-view client but tells it the world has moved on.
-    if (acq->view != nullptr &&
-        (*servers_)[static_cast<std::size_t>(target)].epoch() >
-            acq->view->epoch)
-      acq->saw_newer_epoch = true;
-    acq->result.probed.add_positive(server);
-    acq->result.replies.add(server, reply->first, reply->second,
-                            served_retired);
-  } else {
-    acq->result.probed.add_negative(server);
+void SimClient::finish_attempt(std::shared_ptr<Acquisition> acq) {
+  RegisterOp& op = acq->op;
+  AcquisitionResult& r = acq->result;
+  r.acquired = op.acquired();
+  if (r.acquired) r.quorum = acq->strategy->acquired_quorum();
+  r.num_probes = op.num_probes();
+  if (r.filtered)
+    obs::flight(obs::FlightKind::kFiltered, r.op, us(sim_->now()), -1,
+                static_cast<std::uint64_t>(id_));
+  const int current = epochs_ != nullptr ? epochs_->current : 0;
+  // Whether a follow-up after `delay` could still start inside the deadline.
+  const auto fits = [&](double delay) {
+    return config_.op_deadline <= 0.0 ||
+           (sim_->now() - acq->op_start) + delay < config_.op_deadline;
+  };
+  // Stale-view recovery: the fetch is a fixed-delay round trip (no rng
+  // draw) and does not consume an acquisition attempt.
+  if (!r.deadline_exceeded && op.should_fetch_view(current, view_epoch_) &&
+      fits(config_.view_fetch_delay)) {
+    op.note_view_fetch(us(sim_->now()), current);
+    sim_->schedule(config_.view_fetch_delay, [this, acq] {
+      learn_view();
+      start_attempt(acq);
+    });
+    return;
   }
-  acq->strategy->observe(server, reached);
-  issue_next_probe(std::move(acq));
-}
-
-void SimClient::finish_probe_fenced(std::shared_ptr<Acquisition> acq,
-                                    std::uint64_t seq, int server,
-                                    int target) {
-  if (acq->pending_seq != seq) return;  // stale: already resolved
-  acq->pending_seq = 0;
-  ++epoch_rejects_;
-  ++acq->result.epoch_rejects;
-  acq->saw_newer_epoch = true;
-  obs::flight(obs::FlightKind::kEpochFenced, acq->result.op,
-              us(acq->probe_sent_at), target,
-              static_cast<std::uint64_t>(
-                  (*servers_)[static_cast<std::size_t>(target)].epoch()));
-  // A fence is negative evidence for this epoch's quorum — the server will
-  // never count toward it again.
-  acq->result.probed.add_negative(server);
-  acq->strategy->observe(server, false);
-  issue_next_probe(std::move(acq));
-}
-
-void SimClient::finish_attempt(std::shared_ptr<Acquisition> acq, bool acquired) {
-  acq->result.acquired = acquired;
-  if (acquired) acq->result.quorum = acq->strategy->acquired_quorum();
-  if (acq->result.filtered)
-    obs::flight(obs::FlightKind::kFiltered, acq->result.op, us(sim_->now()),
-                -1, static_cast<std::uint64_t>(id_));
-  // Stale-view recovery: a failed attempt that saw epoch evidence fetches
-  // the current view and re-probes under the new family. The fetch is a
-  // fixed-delay round trip (no rng draw), bounded per operation, and does
-  // not consume an acquisition attempt.
-  if (!acquired && !acq->result.deadline_exceeded && acq->epoch_mode &&
-      acq->saw_newer_epoch && config_.refresh_views &&
-      acq->result.view_fetches < config_.max_view_fetches &&
-      epochs_->current > view_epoch_) {
-    const double delay = config_.view_fetch_delay;
-    if (config_.op_deadline <= 0.0 ||
-        (sim_->now() - acq->op_start) + delay < config_.op_deadline) {
-      ++acq->result.view_fetches;
-      obs::flight(obs::FlightKind::kViewRefresh, acq->result.op,
-                  us(sim_->now()), -1,
-                  static_cast<std::uint64_t>(epochs_->current));
-      sim_->schedule(delay, [this, acq] {
-        if (epochs_->current > view_epoch_) {
-          view_epoch_ = epochs_->current;
-          ++view_refreshes_;
-        }
-        start_attempt(acq);
-      });
-      return;
-    }
-  }
-  if (!acquired && !acq->result.deadline_exceeded &&
-      acq->result.attempts < config_.max_attempts) {
-    double backoff =
-        config_.backoff_base * std::ldexp(1.0, acq->result.attempts - 1);
+  if (!r.acquired && !r.deadline_exceeded &&
+      r.attempts < config_.max_attempts) {
+    double backoff = config_.backoff_base * std::ldexp(1.0, r.attempts - 1);
     if (config_.backoff_jitter > 0.0)
       backoff *= 1.0 + config_.backoff_jitter * rng_.next_double();
-    // Retry only if the attempt could still start inside the deadline.
-    if (config_.op_deadline <= 0.0 ||
-        (sim_->now() - acq->op_start) + backoff < config_.op_deadline) {
-      ++acq->result.attempts;
+    if (fits(backoff)) {
+      ++r.attempts;
       ClientMetrics::get().retries.add(1);
-      obs::instant_op("sim", "client_retry", acq->result.op, "client",
+      obs::instant_op("sim", "client_retry", r.op, "client",
                       static_cast<std::uint64_t>(id_));
-      obs::flight(obs::FlightKind::kRetry, acq->result.op, us(sim_->now()), -1,
-                  static_cast<std::uint64_t>(acq->result.attempts));
+      obs::flight(obs::FlightKind::kRetry, r.op, us(sim_->now()), -1,
+                  static_cast<std::uint64_t>(r.attempts));
       sim_->schedule(backoff, [this, acq] { start_attempt(acq); });
       return;
     }
   }
-  if (acq->result.deadline_exceeded) {
+  if (r.deadline_exceeded) {
     ClientMetrics::get().deadline_exceeded.add(1);
-    obs::instant_op("sim", "client_deadline_exceeded", acq->result.op, "client",
+    obs::instant_op("sim", "client_deadline_exceeded", r.op, "client",
                     static_cast<std::uint64_t>(id_));
-    obs::flight(obs::FlightKind::kDeadline, acq->result.op, us(sim_->now()));
+    obs::flight(obs::FlightKind::kDeadline, r.op, us(sim_->now()));
   }
-  // A completed op (either outcome) that saw epoch evidence refreshes the
-  // view asynchronously so the *next* op probes the current membership.
-  if (acq->epoch_mode && acq->saw_newer_epoch && config_.refresh_views &&
-      epochs_->current > view_epoch_) {
-    obs::flight(obs::FlightKind::kViewRefresh, acq->result.op, us(sim_->now()),
-                -1, static_cast<std::uint64_t>(epochs_->current));
-    sim_->schedule(config_.view_fetch_delay, [this] {
-      if (epochs_->current > view_epoch_) {
-        view_epoch_ = epochs_->current;
-        ++view_refreshes_;
-      }
-    });
+  // The op's evidence refreshes the view asynchronously, so the *next* op
+  // probes the current membership.
+  if (op.finish(us(sim_->now()), current, view_epoch_))
+    sim_->schedule(config_.view_fetch_delay, [this] { learn_view(); });
+  r.latency = sim_->now() - acq->op_start;
+  acq->done(*acq);
+}
+
+void SimClient::learn_view() {
+  if (epochs_->current > view_epoch_) {
+    view_epoch_ = epochs_->current;
+    ++view_refreshes_;
   }
-  acq->result.latency = sim_->now() - acq->op_start;
-  obs::flight(acquired ? obs::FlightKind::kQuorumAcquired
-                       : obs::FlightKind::kQuorumFailed,
-              acq->result.op, us(sim_->now()), -1,
-              static_cast<std::uint64_t>(acq->result.num_probes));
-  acq->done(acq->result);
 }
 
 void SimClient::read(std::function<void(ReadResult)> done) {
-  acquire([this, done = std::move(done)](AcquisitionResult acq) {
-    finish_read(/*object=*/0, std::move(acq), done);
-  });
+  start_op(default_family(), /*object=*/0,
+           [this, done = std::move(done)](Acquisition& a) {
+             finish_read(a, done);
+           });
 }
 
 void SimClient::read(const QuorumFamily& family, int object,
                      std::function<void(ReadResult)> done) {
-  acquire(family, object,
-          [this, object, done = std::move(done)](AcquisitionResult acq) {
-            finish_read(object, std::move(acq), done);
-          });
+  start_op(&family, object, [this, done = std::move(done)](Acquisition& a) {
+    finish_read(a, done);
+  });
 }
 
-void SimClient::finish_read(int object, AcquisitionResult acq,
+void SimClient::finish_read(const Acquisition& acq,
                             const std::function<void(ReadResult)>& done) {
-  // Family index -> wire (logical) server id; identity in classic mode.
-  const auto wire = [&acq](std::size_t i) {
-    return acq.view != nullptr ? acq.view->members[i] : static_cast<int>(i);
-  };
   ReadResult result;
-  result.op = acq.op;
-  result.num_probes = acq.num_probes;
-  result.attempts = acq.attempts;
-  result.deadline_exceeded = acq.deadline_exceeded;
-  result.latency = acq.latency;
-  result.ok = acq.acquired;
-  result.filtered = acq.filtered;
-  result.probed = acq.probed;
-  if (result.ok) {
-    // Max-timestamp value over every reached probed server (S+), per the
-    // Sect. 4 client requirement — or, under a lie tolerance, only a pair
-    // vouched for by more servers than can lie; no such pair fails the read
-    // rather than returning a possible fabrication.
-    const ReplyTally::Decision d = acq.replies.decide(config_.lie_tolerance);
-    result.ok = d.ok;
-    result.timestamp = d.ts;
-    result.value = d.value;
-    // No-read-from-retired-server accounting: adopting state served by a
-    // replica outside the membership is exactly the silent stale read
-    // reconfiguration fencing exists to prevent; only the
-    // serve_while_retired bug switch can get here.
-    if (d.ok && d.retired_index >= 0) {
-      ++retired_reads_;
-      obs::flight(obs::FlightKind::kRetiredRead, acq.op, us(sim_->now()),
-                  wire(static_cast<std::size_t>(d.retired_index)),
-                  result.timestamp.counter);
-    }
-    if (config_.read_repair && result.ok) {
-      // Fire-and-forget write-back to stale reached servers.
-      for (int i = 0; i < acq.replies.size(); ++i) {
-        if (!acq.replies.reached(i) ||
-            !(acq.replies.timestamp(i) < result.timestamp))
-          continue;
-        const int server = wire(static_cast<std::size_t>(i));
-        net_->send(id_, server, Network::Direction::kToServer,
-                   [this, server, object, ts = result.timestamp,
-                    value = result.value] {
-                     (*servers_)[static_cast<std::size_t>(server)].write(
-                         sim_->now(), ts, value, object);
-                   });
-      }
+  static_cast<OpReport&>(result) = acq.result;
+  // Max-timestamp value over every reached probed server (S+), per the
+  // Sect. 4 client requirement — or, under a lie tolerance, only a pair
+  // vouched for by more servers than can lie; no such pair fails the read
+  // rather than returning a possible fabrication. A failed acquisition
+  // decides nothing.
+  const ReplyTally::Decision d = acq.op.decide();
+  result.ok = d.ok;
+  result.timestamp = d.ts;
+  result.value = d.value;
+  // No-read-from-retired-server accounting: adopting state served by a
+  // replica outside the membership is exactly the silent stale read
+  // reconfiguration fencing exists to prevent; only the
+  // serve_while_retired bug switch can get here.
+  if (d.ok && d.retired_index >= 0) {
+    ++retired_reads_;
+    obs::flight(obs::FlightKind::kRetiredRead, result.op, us(sim_->now()),
+                acq.op.replica(d.retired_index), result.timestamp.counter);
+  }
+  if (config_.read_repair && result.ok) {
+    // Fire-and-forget write-back to stale reached servers.
+    const ReplyTally& replies = acq.op.tally();
+    for (int i = 0; i < replies.size(); ++i) {
+      if (!replies.reached(i) || !(replies.timestamp(i) < result.timestamp))
+        continue;
+      const int server = acq.op.replica(i);
+      net_->send(id_, server, Network::Direction::kToServer,
+                 [this, server, object = acq.object, ts = result.timestamp,
+                  value = result.value] {
+                   (*servers_)[static_cast<std::size_t>(server)].write(
+                       sim_->now(), ts, value, object);
+                 });
     }
   }
   done(result);
 }
 
 void SimClient::write(std::uint64_t value, std::function<void(WriteResult)> done) {
-  acquire([this, value, done = std::move(done)](AcquisitionResult acq) {
-    finish_write(/*object=*/0, value, std::move(acq), done);
-  });
+  start_op(default_family(), /*object=*/0,
+           [this, value, done = std::move(done)](Acquisition& a) {
+             finish_write(a, value, done);
+           });
 }
 
 void SimClient::write(const QuorumFamily& family, int object,
                       std::uint64_t value,
                       std::function<void(WriteResult)> done) {
-  acquire(family, object,
-          [this, object, value, done = std::move(done)](AcquisitionResult acq) {
-            finish_write(object, value, std::move(acq), done);
-          });
+  start_op(&family, object,
+           [this, value, done = std::move(done)](Acquisition& a) {
+             finish_write(a, value, done);
+           });
 }
 
-void SimClient::finish_write(int object, std::uint64_t value,
-                             AcquisitionResult acq,
+void SimClient::finish_write(const Acquisition& acq, std::uint64_t value,
                              const std::function<void(WriteResult)>& done) {
   WriteResult result;
-  result.op = acq.op;
-  result.num_probes = acq.num_probes;
-  result.attempts = acq.attempts;
-  result.deadline_exceeded = acq.deadline_exceeded;
-  result.filtered = acq.filtered;
-  result.probed = acq.probed;
-  if (!acq.acquired) {
-    result.latency = acq.latency;
-    done(result);
-    return;
-  }
+  static_cast<OpReport&>(result) = acq.result;
   // Under a lie tolerance the new timestamp grows from a voted pair only,
   // so a liar's inflated counter never enters the genuine timestamp order;
   // no voted pair fails the write without pushing anything.
-  const ReplyTally::Decision d = acq.replies.decide(config_.lie_tolerance);
+  const ReplyTally::Decision d = acq.op.decide();
+  result.ok = d.ok;
   if (!d.ok) {
-    result.latency = acq.latency;
     done(result);
     return;
   }
-  result.ok = true;
   result.timestamp = Timestamp{d.ts.counter + 1, id_};
 
   // Push the new value to every reached probed server; complete when all
   // acks arrive or time out.
   auto state = std::make_shared<std::pair<int, WriteResult>>(0, result);
-  const auto targets = acq.probed.positive().to_indices();
+  const auto targets = acq.result.probed.positive().to_indices();
   assert(!targets.empty() && "an acquired quorum has a reached server");
   state->first = static_cast<int>(targets.size());
-  const double start = sim_->now() - acq.latency;
+  const double start = sim_->now() - acq.result.latency;
   auto finish_one = [this, state, done, start](bool acked) {
     if (acked) ++state->second.acks;
     if (--state->first == 0) {
@@ -472,15 +386,13 @@ void SimClient::finish_write(int object, std::uint64_t value,
     }
   };
   for (std::size_t idx : targets) {
-    // Map the family index to the wire (logical) server in epoch mode.
-    const int server = acq.view != nullptr ? acq.view->members[idx]
-                                           : static_cast<int>(idx);
+    const int server = acq.op.replica(static_cast<int>(idx));
     auto resolved = std::make_shared<bool>(false);
     const double push_start = sim_->now();
-    const obs::OpId op = acq.op;
+    const obs::OpId op = result.op;
     net_->send(id_, server, Network::Direction::kToServer,
-               [this, server, object, ts = result.timestamp, value, resolved,
-                finish_one, push_start, op] {
+               [this, server, object = acq.object, ts = result.timestamp,
+                value, resolved, finish_one, push_start, op] {
                  Replica& s = (*servers_)[static_cast<std::size_t>(server)];
                  if (!s.write(sim_->now(), ts, value, object)) return;
                  sim_->schedule(s.service_time(sim_->now()),

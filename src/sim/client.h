@@ -7,13 +7,10 @@
 // link, or latency spike), not injected — this is the mechanistic
 // counterpart of the abstract model in src/mismatch.
 //
-// On top of acquisition the client offers ABD-style register operations:
-//   read  — acquire, return the max-timestamp value among reached servers;
-//   write — acquire (learning the max timestamp), then push
-//           (max+1, client_id) to every reached probed server, per the
-//           paper's requirement that clients coordinate with all of S+.
-// All operations are asynchronous (completion callbacks), driven by the
-// event loop.
+// The client is RegisterOp's (sim/register_op.h) event-loop driver: the op
+// decides what each reply, fence or miss means and what a read or write
+// adopts; the client sends the messages, keeps the clock and pushes writes
+// to all of S+. Operations complete through callbacks.
 //
 // Graceful degradation (all off by default, so the classic single-shot
 // behaviour — and its rng stream — is unchanged): a failed acquisition can
@@ -28,20 +25,21 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/epoch.h"
 #include "core/quorum_family.h"
 #include "obs/recorder.h"
 #include "sim/network.h"
+#include "sim/register_op.h"
 #include "sim/server.h"
 #include "sim/simulator.h"
 
 namespace sqs {
 
-struct ClientConfig {
-  double probe_timeout = 0.25;  // seconds to wait for a probe reply
+// The protocol knobs (probe_timeout, lie_tolerance and the stale-view
+// recovery fields) come from RegisterProtocolConfig (sim/register_op.h).
+struct ClientConfig : RegisterProtocolConfig {
   // The filtering step of [17] (Sect. 1): before acquiring, the client must
   // reach a beacon outside its local domain; a client whose connectivity is
   // (partially) partitioned away fails that check with probability equal to
@@ -52,15 +50,6 @@ struct ClientConfig {
   // back to every reached server holding an older one. Shrinks the window
   // in which a later non-intersecting quorum could miss the value.
   bool read_repair = false;
-  // Masking vote (Malkhi–Reiter–Wool): when > 0, up to this many servers
-  // may lie, so a read only adopts the highest-timestamped (ts, value)
-  // pair reported identically by >= lie_tolerance+1 reached servers, and a
-  // write derives its new timestamp from voted pairs only. An acquisition
-  // whose replies contain no such pair fails the operation instead of
-  // returning a possible fabrication. 0 (default) keeps the classic
-  // max-timestamp fold — correct under the paper's fail-stop model, and
-  // exactly what a Byzantine plan exploits against a non-masking family.
-  int lie_tolerance = 0;
 
   // --- graceful degradation (defaults preserve the classic behaviour) ---
   // Acquisition attempts per operation. A failed attempt (no quorum, or
@@ -84,78 +73,39 @@ struct ClientConfig {
   // and the result carries deadline_exceeded.
   double op_deadline = 0.0;
 
-  // --- stale views under reconfiguration (epoch mode only) --------------
-  // A client holds the membership view of some epoch and learns it is
-  // stale observably: retired servers fence its probes with an epoch
-  // rejection, and replies from live servers carry the current epoch
-  // stamp. When a *failed* attempt saw such evidence the client fetches
-  // the current view (a fixed view_fetch_delay round trip — no rng draw,
-  // so churn stays stream-neutral) and re-probes under the new family;
-  // the fetch does not consume an acquisition attempt but is bounded by
-  // max_view_fetches per operation. A *successful* attempt with stale
-  // evidence refreshes asynchronously after the op completes. Turning
-  // refresh_views off makes the client stale forever — the designed-to-
-  // fail chaos scenario.
-  bool refresh_views = true;
-  double view_fetch_delay = 0.05;
-  int max_view_fetches = 4;
-
   // True iff timeouts/attempt counts/fractions are usable; complaints go
   // to stderr, one line per bad field.
   bool validate() const;
 };
 
-struct AcquisitionResult {
+// What every operation reports: the acquisition's evidence and cost.
+struct OpReport {
   // Causal op id (stream 1 + client id, per-client sequence); every flight
   // event this operation records carries it.
   obs::OpId op = obs::kNoOp;
-  bool acquired = false;
   bool filtered = false;  // final attempt aborted by the partition filter
   SignedSet probed;  // +i reached, -i timed out (final attempt's evidence)
-  SignedSet quorum;
   int num_probes = 0;      // across all attempts
   int attempts = 1;
   bool deadline_exceeded = false;
   double latency = 0.0;  // whole operation, first attempt start to done
-  // The final attempt's replies (reached servers only). In epoch mode the
-  // index space is the *family's* (map to logical ids via `view`). Each
-  // reply carries whether its replica was already retired AT SERVE TIME
-  // (only possible under the serve_while_retired bug switch) — captured
-  // with the reply, not at adoption time, so a server legitimately serving
-  // just before its epoch boundary is not a retired read.
-  ReplyTally replies;
-  // Epoch mode: the membership view the final attempt probed under (owned
-  // by the run's EpochedFamily, which outlives every operation); nullptr
-  // for classic fixed-universe acquisitions.
-  const MembershipView* view = nullptr;
-  int view_fetches = 0;   // bounded view-refresh round trips this op took
-  int epoch_rejects = 0;  // probes fenced by retired servers
 };
 
-struct ReadResult {
-  obs::OpId op = obs::kNoOp;
+struct AcquisitionResult : OpReport {
+  bool acquired = false;
+  SignedSet quorum;
+};
+
+struct ReadResult : OpReport {
   bool ok = false;
-  bool filtered = false;
   std::uint64_t value = 0;
   Timestamp timestamp;
-  int num_probes = 0;
-  int attempts = 1;
-  bool deadline_exceeded = false;
-  double latency = 0.0;
-  SignedSet probed;  // servers probed during acquisition (+reached/-not)
 };
 
-struct WriteResult {
-  obs::OpId op = obs::kNoOp;
+struct WriteResult : OpReport {
   bool ok = false;
-  bool filtered = false;
   Timestamp timestamp;
-  int num_probes = 0;
-  int attempts = 1;
-  bool deadline_exceeded = false;
   int acks = 0;
-  double latency = 0.0;
-  SignedSet probed;  // servers probed during acquisition (+reached/-not)
 };
 
 class SimClient {
@@ -195,20 +145,18 @@ class SimClient {
 
  private:
   struct Acquisition;
+  const QuorumFamily* default_family() const {
+    return epochs_ != nullptr ? nullptr : family_;
+  }
   void start_op(const QuorumFamily* family, int object,
-                std::function<void(AcquisitionResult)> done);
+                std::function<void(Acquisition&)> done);
   void start_attempt(std::shared_ptr<Acquisition> acq);
   void issue_next_probe(std::shared_ptr<Acquisition> acq);
-  void finish_probe(std::shared_ptr<Acquisition> acq, std::uint64_t seq,
-                    int server, int target,
-                    std::optional<std::pair<Timestamp, std::uint64_t>> reply,
-                    bool served_retired);
-  void finish_probe_fenced(std::shared_ptr<Acquisition> acq,
-                           std::uint64_t seq, int server, int target);
-  void finish_attempt(std::shared_ptr<Acquisition> acq, bool acquired);
-  void finish_read(int object, AcquisitionResult acq,
+  void finish_attempt(std::shared_ptr<Acquisition> acq);
+  void learn_view();
+  void finish_read(const Acquisition& acq,
                    const std::function<void(ReadResult)>& done);
-  void finish_write(int object, std::uint64_t value, AcquisitionResult acq,
+  void finish_write(const Acquisition& acq, std::uint64_t value,
                     const std::function<void(WriteResult)>& done);
 
   Simulator* sim_;

@@ -2,9 +2,7 @@
 
 #include <cstdio>
 #include <memory>
-#include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -39,19 +37,14 @@ struct Experiment {
   // Epoch mode: the mutable cursor all clients compare their view against.
   EpochState epoch_state;
   RegisterExperimentResult result;
-  Timestamp max_completed_write_ts;
-  // Highest timestamp of a write that was acked by at least one server:
-  // under the crash model that server keeps the state, so this frontier
-  // must still exist somewhere at the end of the run (lost_writes check).
-  Timestamp max_acked_write_ts;
+  // Genuine bindings, the completed-write frontier and the highest acked
+  // write. Ok reads are audited for fabrication at end-of-run — after the
+  // grace period every write completion callback has fired, so a read that
+  // raced its writer's completion is not a false alarm.
+  RegisterAudit audit;
   // Per-client frontier of observed read timestamps (monotonic-read check).
   std::vector<Timestamp> last_read_ts;
   std::uint64_t next_value = 1;
-  // (counter, writer, value) bindings produced by genuine completed writes.
-  // Ok reads are audited against this set at end-of-run — after the grace
-  // period every write completion callback has fired, so a read that raced
-  // its writer's completion is not a false alarm.
-  std::set<std::tuple<std::uint64_t, int, std::uint64_t>> genuine_writes;
   struct ReadObservation {
     obs::OpId op = obs::kNoOp;
     Timestamp ts;
@@ -111,7 +104,7 @@ struct Experiment {
       ++result.reads_attempted;
       // Snapshot the frontier of completed writes; a successful read must
       // not return anything older.
-      const Timestamp frontier = max_completed_write_ts;
+      const Timestamp frontier = audit.frontier(sim.now());
       clients[static_cast<std::size_t>(client_idx)].read(
           [this, client_idx, frontier](ReadResult r) {
             complete_op(client_idx, "read", r, [&] {
@@ -138,13 +131,8 @@ struct Experiment {
       clients[static_cast<std::size_t>(client_idx)].write(
           value, [this, client_idx, value](WriteResult w) {
             complete_op(client_idx, "write", w, [&] {
-              genuine_writes.insert(
-                  {w.timestamp.counter, w.timestamp.writer, value});
               ++result.writes_ok;
-              if (max_completed_write_ts < w.timestamp)
-                max_completed_write_ts = w.timestamp;
-              if (w.acks > 0 && max_acked_write_ts < w.timestamp)
-                max_acked_write_ts = w.timestamp;
+              audit.record_write(w.timestamp, value, w.acks > 0, sim.now());
             });
           });
     }
@@ -259,39 +247,19 @@ RegisterExperimentResult run_register_experiment(
   e.result.events_executed = e.sim.executed_events();
   e.result.peak_event_queue = e.sim.peak_pending_events();
 
-  // End-of-run invariant evidence. A write acked by >= 1 server must still
-  // be visible in some server's register: crash failures preserve state,
-  // so only an assumption-breaking scenario (amnesia) can lose it. Under
-  // churn the bar is higher: the frontier must be visible among the *final
-  // epoch's members* — state stranded on a retired server is lost to every
-  // future quorum, which is exactly what drain-on-leave must prevent.
-  const MembershipView* final_view =
-      epoch_mode ? &config.epochs->entry(config.epochs->final_epoch()).view
-                 : nullptr;
   const ReplicaCounts counts = fleet_counts(e.servers);
   e.result.server_ts_regressions = static_cast<long>(counts.ts_regressions);
   e.result.server_dropped_requests = counts.dropped_requests;
   publish_replica_counts("sim.server", counts);
-  Timestamp best_server_ts;
-  for (const Replica& s : e.servers) {
-    if (final_view != nullptr && !final_view->contains(s.id())) continue;
-    const Timestamp ts = s.timestamp(0);
-    if (best_server_ts < ts) best_server_ts = ts;
-  }
-  if (Timestamp{} < e.max_acked_write_ts &&
-      best_server_ts < e.max_acked_write_ts) {
+  if (e.audit.lost_acked_write(e.servers)) {
     e.result.lost_writes = 1;
-    obs::flight(obs::FlightKind::kLostWrite, obs::kNoOp, us(e.sim.now()),
-                -1, static_cast<std::uint64_t>(e.max_acked_write_ts.counter));
+    obs::flight(obs::FlightKind::kLostWrite, obs::kNoOp, us(e.sim.now()), -1,
+                static_cast<std::uint64_t>(e.audit.max_acked().counter));
   }
-  // Fabricated-read audit: every ok read must have returned either the
-  // unwritten register (zero timestamp) or a (ts, value) binding that some
-  // genuine write produced. Anything else is a fabrication that a lying
-  // server smuggled past the client — the durability invariant chaos gates.
+  // Fabricated-read audit: a binding no genuine write produced is a
+  // fabrication a lying server smuggled past the client.
   for (const Experiment::ReadObservation& seen : e.read_observations) {
-    if (!(Timestamp{} < seen.ts)) continue;  // unwritten register is genuine
-    if (e.genuine_writes.count({seen.ts.counter, seen.ts.writer, seen.value}) ==
-        0) {
+    if (!e.audit.genuine(seen.ts, seen.value)) {
       ++e.result.fabricated_reads;
       obs::flight(obs::FlightKind::kFabricatedRead, seen.op, us(e.sim.now()),
                   -1, seen.value);

@@ -330,6 +330,36 @@ TEST(Recorder, FencedProbeRecordsOnlyTheFence) {
   }
 }
 
+TEST(Recorder, ServedRetiredReadNamesTheRetiredReplica) {
+  // With the fence disabled a stale-view read can adopt a retired replica's
+  // state; its kRetiredRead names that replica on the served path, as in
+  // the simulator.
+  FamilySpec spec;
+  spec.kind = "majority";
+  spec.n = 12;
+  const auto family = spec.make();
+  ASSERT_NE(family, nullptr);
+  RecorderScope scope;
+  ServiceConfig config = tiny_service();
+  config.server.serve_while_retired = true;
+  config.refresh_views = false;
+  config.epochs = build_epoch_schedule(make_replace_churn(0.5, 0.5, 3),
+                                       family_factory(spec), 12);
+  ASSERT_NE(config.epochs, nullptr);
+  ServiceRunner runner(*family, config);
+  const ServiceResult result = runner.serve(generate_load(tiny_load()));
+  ASSERT_GT(result.retired_reads, 0u);
+
+  std::uint64_t retired_reads = 0;
+  for (const obs::FlightEvent& e : obs::collect_flight_events()) {
+    if (e.kind != obs::FlightKind::kRetiredRead) continue;
+    ++retired_reads;
+    EXPECT_GE(e.replica, 0);
+    EXPECT_LT(e.replica, runner.num_servers());
+  }
+  EXPECT_EQ(retired_reads, result.retired_reads);
+}
+
 TEST(Recorder, ChaosViolationWritesBlackBox) {
   const OptDFamily family(12, 2);
   RecorderScope scope;

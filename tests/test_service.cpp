@@ -8,6 +8,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/constructions.h"
@@ -386,6 +388,15 @@ TEST(Service, ConfigValidation) {
   bad = service_config();
   bad.threads = -2;
   EXPECT_FALSE(bad.validate(12));
+}
+
+TEST(Service, ConfigValidationRejectsNanViewFetchDelay) {
+  testing::internal::CaptureStderr();
+  ServiceConfig bad = service_config();
+  bad.view_fetch_delay = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(bad.validate(12));
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("view_fetch_delay"),
+            std::string::npos);
 }
 
 TEST(Service, BitIdenticalAcrossThreadCounts) {

@@ -751,10 +751,7 @@ int cmd_serve(const Args& args) {
   if (have_file) {
     config.network = from_file.config.network;
     config.server = from_file.config.server;
-    config.lie_tolerance = from_file.config.client.lie_tolerance;
-    config.refresh_views = from_file.config.client.refresh_views;
-    config.view_fetch_delay = from_file.config.client.view_fetch_delay;
-    config.max_view_fetches = from_file.config.client.max_view_fetches;
+    static_cast<RegisterProtocolConfig&>(config) = from_file.config.client;
     config.plan = from_file.plan;
     if (!from_file.churn.empty()) {
       config.epochs =
