@@ -45,14 +45,11 @@ import tempfile
 
 # Counters worth surfacing next to the wall-clock diff, when present.
 CONTEXT_COUNTERS = (
-    "runtime.chunks_executed",
     "sweep.chunks_executed",
     "sweep.cells",
-    "pool.tasks_stolen",
     "runtime.arena.cache_hits",
     "runtime.arena.cache_misses",
     "runtime.arena.bytes_reused",
-    "runtime.arena.block_allocs",
     "sim.faults.injected",
     "sim.net.delivered",
     "sim.net.dropped",

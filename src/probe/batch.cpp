@@ -32,7 +32,7 @@ bool probe_measurement_chunk_batched(const QuorumFamily& family, double p,
   WorkerScratch& scratch = ctx.scratch();
   const std::uint64_t trials = ctx.chunk.end - ctx.chunk.begin;
 
-  acc.probe_counts = scratch.take_counts(static_cast<std::size_t>(n));
+  acc.probe_counts.assign(static_cast<std::size_t>(n), 0);
   Borrowed<WorldBatch> worlds = scratch.borrow<WorldBatch>();
   // Same chunk-rng draw order as the scalar loop (trial-major, server-
   // minor); the per-trial strategy_rng splits are const on the chunk rng

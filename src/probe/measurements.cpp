@@ -23,17 +23,10 @@ void ProbeAccumulator::merge(ProbeAccumulator&& other) {
   probes_acquired.merge(other.probes_acquired);
   probes_failed.merge(other.probes_failed);
   max_probes_seen = std::max(max_probes_seen, other.max_probes_seen);
-  if (probe_counts.empty()) {
-    // First fold steals the buffer instead of resizing + adding zeros.
-    probe_counts = std::move(other.probe_counts);
-  } else {
-    if (probe_counts.size() < other.probe_counts.size())
-      probe_counts.resize(other.probe_counts.size(), 0);
-    for (std::size_t i = 0; i < other.probe_counts.size(); ++i)
-      probe_counts[i] += other.probe_counts[i];
-    WorkerScratch::for_thread().give_counts(std::move(other.probe_counts));
-  }
-  other.probe_counts.clear();
+  if (probe_counts.size() < other.probe_counts.size())
+    probe_counts.resize(other.probe_counts.size(), 0);
+  for (std::size_t i = 0; i < other.probe_counts.size(); ++i)
+    probe_counts[i] += other.probe_counts[i];
 }
 
 void probe_measurement_chunk(const QuorumFamily& family, double p,
@@ -44,7 +37,7 @@ void probe_measurement_chunk(const QuorumFamily& family, double p,
     return;
   const int n = family.universe_size();
   WorkerScratch& scratch = ctx.scratch();
-  acc.probe_counts = scratch.take_counts(static_cast<std::size_t>(n));
+  acc.probe_counts.assign(static_cast<std::size_t>(n), 0);
   // The strategy itself is built fresh per chunk, not pooled: stateful
   // shuffling strategies (e.g. threshold majority) carry probe-order state
   // across resets, so reusing an instance across chunks would change their
@@ -99,7 +92,7 @@ ProbeMeasurement measure_probes(const QuorumFamily& family, double p, int trials
                                 Rng rng, const TrialOptions& opts) {
   const int n = family.universe_size();
 
-  ProbeAccumulator acc = run_trial_chunks(
+  const ProbeAccumulator acc = run_trial_chunks(
       static_cast<std::uint64_t>(trials), rng, ProbeAccumulator{},
       [&](ProbeAccumulator& shard, const TrialContext& ctx, Rng& chunk_rng) {
         probe_measurement_chunk(family, p, ctx, chunk_rng, shard);
@@ -109,12 +102,7 @@ ProbeMeasurement measure_probes(const QuorumFamily& family, double p, int trials
       },
       opts);
 
-  const ProbeMeasurement out =
-      finalize_probe_measurement(acc, n, static_cast<std::uint64_t>(trials));
-  // The fully merged accumulator still owns the count buffer the first fold
-  // stole; hand it back so the next measurement reuses it.
-  WorkerScratch::for_thread().give_counts(std::move(acc.probe_counts));
-  return out;
+  return finalize_probe_measurement(acc, n, static_cast<std::uint64_t>(trials));
 }
 
 int worst_case_probes(const QuorumFamily& family, int repeats, Rng rng,

@@ -36,18 +36,15 @@ struct ProbeAccumulator {
   RunningStat probes_acquired;
   RunningStat probes_failed;
   int max_probes_seen = 0;
-  std::vector<long> probe_counts;
+  std::vector<long> probe_counts;  // per-server probe counts
 
-  // Folds `other` in and returns its count buffer to the calling thread's
-  // scratch arena (the buffer was taken from a worker's arena by
-  // probe_measurement_chunk; the two-level counts pool routes it back).
   void merge(ProbeAccumulator&& other);
 };
 
 // Per-chunk kernel behind measure_probes: runs acquisitions
 // [ctx.chunk.begin, ctx.chunk.end) with the chunk's rng; the sampled
-// configuration, probe record, and count buffer are borrowed from the
-// chunk's scratch arena. Shared with the sweep engine (src/sweep) so a
+// configuration and probe record are borrowed from the chunk's scratch
+// object pool. Shared with the sweep engine (src/sweep) so a
 // flattened grid cell reduces to exactly the same bits as the per-cell
 // measurement.
 void probe_measurement_chunk(const QuorumFamily& family, double p,

@@ -1,16 +1,13 @@
 #include "runtime/scratch.h"
 
-#include <algorithm>
-#include <mutex>
-
 #include "obs/telemetry.h"
 
 namespace sqs {
 
 namespace {
 
-// Arena telemetry: in steady state cache_misses and block_allocs stop
-// moving — the signal that the hot paths no longer touch the heap.
+// Pool telemetry: in steady state cache_misses stops moving — the signal
+// that the hot paths no longer touch the heap.
 struct ArenaMetrics {
   obs::Counter cache_hits =
       obs::Registry::instance().counter("runtime.arena.cache_hits");
@@ -18,30 +15,12 @@ struct ArenaMetrics {
       obs::Registry::instance().counter("runtime.arena.cache_misses");
   obs::Counter bytes_reused =
       obs::Registry::instance().counter("runtime.arena.bytes_reused");
-  obs::Counter block_allocs =
-      obs::Registry::instance().counter("runtime.arena.block_allocs");
 
   static const ArenaMetrics& get() {
     static const ArenaMetrics metrics;
     return metrics;
   }
 };
-
-// Overflow list for count buffers handed back on a different thread than
-// the one that will take them next (the merging caller returns buffers the
-// workers took). Leaked like the global thread pool: resident workers may
-// still hold references during static teardown.
-struct CountsOverflow {
-  std::mutex mu;
-  std::vector<std::vector<long>> buffers;
-
-  static CountsOverflow& get() {
-    static CountsOverflow* overflow = new CountsOverflow;
-    return *overflow;
-  }
-};
-
-constexpr std::size_t kMaxOverflowCounts = 1024;
 
 }  // namespace
 
@@ -57,79 +36,5 @@ void WorkerScratch::record_cache_hit(std::size_t bytes) {
 }
 
 void WorkerScratch::record_cache_miss() { ArenaMetrics::get().cache_misses.add(); }
-
-void WorkerScratch::record_block_alloc() {
-  ArenaMetrics::get().block_allocs.add();
-}
-
-std::vector<long> WorkerScratch::take_counts(std::size_t size) {
-  std::vector<long> buf;
-  if (!counts_.empty()) {
-    buf = std::move(counts_.back());
-    counts_.pop_back();
-  } else {
-    CountsOverflow& overflow = CountsOverflow::get();
-    std::lock_guard<std::mutex> lock(overflow.mu);
-    if (!overflow.buffers.empty()) {
-      buf = std::move(overflow.buffers.back());
-      overflow.buffers.pop_back();
-    }
-  }
-  if (buf.capacity() >= size) {
-    record_cache_hit(buf.capacity() * sizeof(long));
-  } else {
-    record_cache_miss();
-  }
-  buf.assign(size, 0);
-  return buf;
-}
-
-void WorkerScratch::give_counts(std::vector<long>&& buf) {
-  if (buf.capacity() == 0) return;  // moved-from husks would pollute the pool
-  if (counts_.size() < kMaxLocalCounts) {
-    counts_.push_back(std::move(buf));
-    return;
-  }
-  CountsOverflow& overflow = CountsOverflow::get();
-  std::lock_guard<std::mutex> lock(overflow.mu);
-  if (overflow.buffers.size() < kMaxOverflowCounts)
-    overflow.buffers.push_back(std::move(buf));
-}
-
-void* WorkerScratch::arena_allocate(std::size_t bytes, std::size_t align) {
-  assert(align > 0 && align <= alignof(std::max_align_t));
-  if (bytes == 0) bytes = 1;
-  for (;;) {
-    if (current_block_ < blocks_.size()) {
-      Block& block = blocks_[current_block_];
-      const std::size_t top = (block.top + align - 1) & ~(align - 1);
-      if (top + bytes <= block.size) {
-        block.top = top + bytes;
-        record_cache_hit(bytes);
-        return block.data.get() + top;
-      }
-      ++current_block_;
-      if (current_block_ < blocks_.size()) blocks_[current_block_].top = 0;
-      continue;
-    }
-    const std::size_t want = std::max(
-        bytes, blocks_.empty() ? kMinArenaBlock : blocks_.back().size * 2);
-    blocks_.push_back(Block{std::make_unique<std::byte[]>(want), want, 0});
-    current_block_ = blocks_.size() - 1;
-    record_block_alloc();
-  }
-}
-
-WorkerScratch::ArenaMark WorkerScratch::arena_mark() const {
-  ArenaMark mark;
-  mark.block = current_block_;
-  mark.top = current_block_ < blocks_.size() ? blocks_[current_block_].top : 0;
-  return mark;
-}
-
-void WorkerScratch::arena_release(const ArenaMark& mark) {
-  current_block_ = mark.block;
-  if (current_block_ < blocks_.size()) blocks_[current_block_].top = mark.top;
-}
 
 }  // namespace sqs

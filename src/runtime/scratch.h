@@ -1,54 +1,36 @@
-// Per-worker scratch arenas for the trial runtime.
+// Per-worker scratch for the trial runtime.
 //
-// The deterministic runtime (run_trials.h) and the sweep engine
-// (src/sweep) execute millions of short chunks; before this layer every
-// chunk paid heap allocations for its accumulator storage and for the
-// kernel temporaries (probe records, sampled worlds, configurations,
-// per-server count buffers). WorkerScratch gives every thread a private
-// arena so those allocations happen once per thread and are reused for the
-// lifetime of the process:
+// The deterministic runtime (run_trials.h) executes millions of short
+// chunks; without this layer every chunk paid heap allocations for its
+// kernel temporaries (probe records, sampled worlds, configurations).
+// WorkerScratch gives every thread a private generic object pool
+// (borrow<T>() / give_object) keyed by type: returned objects keep their
+// internal capacity, so a reused ProbeRecord or Configuration re-sized via
+// reshape() allocates nothing, and those allocations happen once per thread
+// for the lifetime of the process.
 //
-//   * a generic object pool (borrow<T>() / give_object) keyed by type:
-//     returned objects keep their internal capacity, so a reused
-//     ProbeRecord or Configuration re-sized via reshape() allocates
-//     nothing;
-//   * a two-level cache for per-server count buffers (take_counts /
-//     give_counts): buffers are taken on worker threads but handed back on
-//     the merging caller, so the thread-local free list overflows into a
-//     small mutex-protected global list that routes them back to workers;
-//   * a block-chain bump allocator (arena_allocate / ArenaArray) for the
-//     per-call `parts` array of run_trial_chunks and run_sweep: blocks are
-//     retained across calls and released LIFO via marks, so nested runs
-//     (a chunk kernel that itself calls run_trial_chunks inline) stack
-//     naturally.
-//
-// Determinism: the arena only changes where bytes live. It never draws
+// Determinism: the pool only changes where bytes live. It never draws
 // randomness, never reorders the ascending-chunk reduction, and a reused
 // object is always reshape()d to the exact observable state a freshly
 // constructed one would have — the bit-identity tests of test_runtime /
-// test_sweep run unchanged against arena-backed kernels.
+// test_sweep run unchanged against pool-backed kernels.
 //
 // Telemetry (all gated on obs::metrics_enabled, see obs/telemetry.h):
 //   runtime.arena.cache_hits    takes served from a free list
 //   runtime.arena.cache_misses  takes that had to heap-allocate
-//   runtime.arena.bytes_reused  capacity bytes served from reuse
-//   runtime.arena.block_allocs  bump-arena growth events
-// In steady state cache_misses and block_allocs stop moving — asserted by
+//   runtime.arena.bytes_reused  object bytes served from reuse
+// In steady state cache_misses stops moving — asserted by
 // tests/test_arena.cpp and visible in BENCH_sweep.json.
 //
 // Thread safety: a WorkerScratch belongs to exactly one thread
-// (for_thread() hands out a thread_local); only the counts overflow list
-// is shared, under its own mutex. Borrowed<T> must be destroyed on the
-// thread that will reuse the object next — it returns the object to the
+// (for_thread() hands out a thread_local). Borrowed<T> must be destroyed on
+// the thread that will reuse the object next — it returns the object to the
 // *current* thread's scratch, which is always safe.
 
 #pragma once
 
-#include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <new>
 #include <typeindex>
 #include <unordered_map>
 #include <utility>
@@ -89,7 +71,6 @@ class WorkerScratch {
   WorkerScratch(const WorkerScratch&) = delete;
   WorkerScratch& operator=(const WorkerScratch&) = delete;
 
-  // --- generic object pool -------------------------------------------------
   // Takes a pooled T (default-constructed on a cold pool). The object's
   // state is whatever the previous user left; callers must reshape/assign
   // every field they read — which the runtime kernels do anyway, because a
@@ -121,30 +102,7 @@ class WorkerScratch {
     return Borrowed<T>(take_object<T>());
   }
 
-  // --- per-server count buffers -------------------------------------------
-  // Returns a vector of `size` zeroed longs, reusing pooled capacity. The
-  // pool is two-level: thread-local first, then a global overflow list —
-  // buffers migrate from the merging caller back to the workers through it.
-  std::vector<long> take_counts(std::size_t size);
-  void give_counts(std::vector<long>&& buf);
-
-  // --- bump arena ----------------------------------------------------------
-  struct ArenaMark {
-    std::size_t block = 0;
-    std::size_t top = 0;
-  };
-
-  // Bumps `bytes` (aligned to `align` <= alignof(max_align_t)) off the
-  // retained block chain; grows the chain only when every retained block is
-  // exhausted. Lifetime is controlled by marks, strictly LIFO.
-  void* arena_allocate(std::size_t bytes, std::size_t align);
-  ArenaMark arena_mark() const;
-  void arena_release(const ArenaMark& mark);
-
  private:
-  template <typename T>
-  friend class ArenaArray;
-
   struct PoolBase {
     virtual ~PoolBase() = default;
   };
@@ -164,76 +122,15 @@ class WorkerScratch {
   // header does not pull in obs/telemetry.h.
   static void record_cache_hit(std::size_t bytes);
   static void record_cache_miss();
-  static void record_block_alloc();
 
   static constexpr std::size_t kMaxPooledPerType = 32;
-  static constexpr std::size_t kMaxLocalCounts = 8;
-  static constexpr std::size_t kMinArenaBlock = 1u << 16;
-
-  struct Block {
-    std::unique_ptr<std::byte[]> data;
-    std::size_t size = 0;
-    std::size_t top = 0;
-  };
 
   std::unordered_map<std::type_index, std::unique_ptr<PoolBase>> pools_;
-  std::vector<std::vector<long>> counts_;
-  std::vector<Block> blocks_;
-  std::size_t current_block_ = 0;
 };
 
 template <typename T>
 Borrowed<T>::~Borrowed() {
   if (obj_) WorkerScratch::for_thread().give_object(std::move(obj_));
 }
-
-// A fixed-size array of T carved out of a WorkerScratch bump arena —
-// the pooled replacement for the per-call `std::vector<Acc> parts` of
-// run_trial_chunks / run_sweep. Every element is copy-constructed from
-// `zero`; destruction runs the element destructors in reverse and releases
-// the arena mark (LIFO with any nested ArenaArray).
-template <typename T>
-class ArenaArray {
- public:
-  ArenaArray(WorkerScratch& scratch, std::size_t count, const T& zero)
-      : scratch_(&scratch), mark_(scratch.arena_mark()) {
-    static_assert(alignof(T) <= alignof(std::max_align_t),
-                  "over-aligned accumulators are not supported");
-    data_ = static_cast<T*>(scratch.arena_allocate(count * sizeof(T), alignof(T)));
-    try {
-      for (; size_ < count; ++size_) new (data_ + size_) T(zero);
-    } catch (...) {
-      destroy_elements();
-      scratch_->arena_release(mark_);
-      throw;
-    }
-  }
-
-  ArenaArray(const ArenaArray&) = delete;
-  ArenaArray& operator=(const ArenaArray&) = delete;
-
-  ~ArenaArray() {
-    destroy_elements();
-    scratch_->arena_release(mark_);
-  }
-
-  std::size_t size() const { return size_; }
-  T& operator[](std::size_t i) {
-    assert(i < size_);
-    return data_[i];
-  }
-  T* begin() { return data_; }
-  T* end() { return data_ + size_; }
-
- private:
-  void destroy_elements() {
-    while (size_ > 0) data_[--size_].~T();
-  }
-
-  WorkerScratch* scratch_;
-  WorkerScratch::ArenaMark mark_;
-  T* data_ = nullptr;
-  std::size_t size_ = 0;
-};
 
 }  // namespace sqs

@@ -17,7 +17,7 @@ namespace {
 // Scheduling telemetry: how long a thread waits between finishing one chunk
 // and claiming the next (steal latency), and how deep the unclaimed pile is
 // at each claim (queue occupancy). Chunk wall time itself is recorded by
-// run_trials, which knows the trial ranges.
+// run_sweep, which knows the trial ranges.
 struct PoolMetrics {
   obs::Counter batches = obs::Registry::instance().counter("runtime.batches");
   obs::Histogram steal_ns = obs::Registry::instance().histogram(
@@ -33,7 +33,9 @@ struct PoolMetrics {
 
 std::atomic<int> g_default_threads{0};
 
-thread_local bool tl_inside_worker = false;
+// True on a thread currently executing pool chunks (worker or caller);
+// for_each_chunk runs nested calls from such a thread inline.
+thread_local bool tl_in_chunk = false;
 
 int env_threads() { return parse_thread_count(std::getenv("SQS_THREADS")); }
 
@@ -65,8 +67,8 @@ void set_default_threads(int n) {
 int init_threads_from_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      value = argv[i + 1];
+    if (std::strcmp(argv[i], "--threads") == 0) {
+      value = i + 1 < argc ? argv[i + 1] : "";  // a missing value is rejected
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       value = argv[i] + 10;
     } else {
@@ -115,8 +117,6 @@ int ThreadPool::workers() const {
   return static_cast<int>(threads_.size());
 }
 
-bool ThreadPool::inside_worker() { return tl_inside_worker; }
-
 void ThreadPool::worker_loop() {
   std::uint64_t seen_generation = 0;
   std::unique_lock<std::mutex> lock(mu_);
@@ -129,9 +129,9 @@ void ThreadPool::worker_loop() {
     --slots_;
     ++running_;
     lock.unlock();
-    tl_inside_worker = true;
+    tl_in_chunk = true;
     run_chunks();
-    tl_inside_worker = false;
+    tl_in_chunk = false;
     lock.lock();
     if (--running_ == 0) done_cv_.notify_all();
   }
@@ -177,7 +177,10 @@ void ThreadPool::run_chunks() {
 
 void ThreadPool::for_each_chunk(std::uint64_t num_chunks, int max_threads,
                                 const std::function<void(std::uint64_t)>& fn) {
-  if (num_chunks == 0) return;
+  if (max_threads <= 1 || num_chunks <= 1 || tl_in_chunk) {
+    for (std::uint64_t c = 0; c < num_chunks; ++c) fn(c);
+    return;
+  }
   PoolMetrics::get().batches.add();
   obs::Span batch_span("runtime", "batch");
   batch_span.arg("chunks", num_chunks);
@@ -191,7 +194,7 @@ void ThreadPool::for_each_chunk(std::uint64_t num_chunks, int max_threads,
     abort_.store(false, std::memory_order_relaxed);
     error_ = nullptr;
     error_chunk_ = ~0ull;
-    int worker_cap = std::max(max_threads - 1, 0);
+    int worker_cap = max_threads - 1;
     if (static_cast<std::uint64_t>(worker_cap) > num_chunks)
       worker_cap = static_cast<int>(num_chunks);
     slots_ = std::min(worker_cap, static_cast<int>(threads_.size()));
@@ -199,12 +202,11 @@ void ThreadPool::for_each_chunk(std::uint64_t num_chunks, int max_threads,
   }
   work_cv_.notify_all();
 
-  // The caller is a full participant; it also shields nested run_trials
-  // calls from re-entering the pool (they run inline).
-  const bool was_inside = tl_inside_worker;
-  tl_inside_worker = true;
+  // The caller is a full participant; nested for_each_chunk calls from its
+  // chunks run inline like the workers'.
+  tl_in_chunk = true;
   run_chunks();
-  tl_inside_worker = was_inside;
+  tl_in_chunk = false;
 
   std::exception_ptr error;
   {

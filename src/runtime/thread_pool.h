@@ -9,7 +9,7 @@
 // included) steals the next unclaimed chunk via an atomic ticket, which
 // load-balances like per-worker deques without their bookkeeping. The pool
 // never affects results: chunk seeding and reduction order are fixed by
-// run_trials (see run_trials.h), so outputs are bit-identical for any
+// run_sweep (see run_trials.h), so outputs are bit-identical for any
 // thread count.
 
 #pragma once
@@ -62,15 +62,14 @@ class ThreadPool {
 
   int workers() const;
 
-  // True on a thread currently executing a chunk; used by run_trials to run
-  // nested invocations inline instead of deadlocking on the pool.
-  static bool inside_worker();
-
   // Runs fn(c) for every c in [0, num_chunks) across at most `max_threads`
   // threads (including the calling thread, which participates). Blocks until
   // every claimed chunk finished. If any fn throws, remaining unclaimed
   // chunks are abandoned and the exception from the lowest-indexed throwing
-  // chunk is rethrown here.
+  // chunk is rethrown here. When max_threads <= 1, num_chunks <= 1, or the
+  // call comes from inside a chunk (a nested run), the chunks run inline on
+  // the caller in ascending order instead, without touching the pool or its
+  // batch metrics — so nesting never deadlocks.
   void for_each_chunk(std::uint64_t num_chunks, int max_threads,
                       const std::function<void(std::uint64_t)>& fn);
 

@@ -447,12 +447,7 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
   };
 
   const int threads = config_.threads > 0 ? config_.threads : default_threads();
-  if (threads > 1 && num_batches > 1 && !ThreadPool::inside_worker()) {
-    ThreadPool::global(threads - 1).for_each_chunk(
-        num_batches, threads, process);
-  } else {
-    for (std::uint64_t b = 0; b < num_batches; ++b) process(b);
-  }
+  ThreadPool::global(threads - 1).for_each_chunk(num_batches, threads, process);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - wall_start)

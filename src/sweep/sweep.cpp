@@ -58,7 +58,7 @@ std::vector<ProbeMeasurement> sweep_probes(const std::vector<ProbeCell>& cells,
   std::vector<SweepCell> grid(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i)
     grid[i] = {cells[i].trials, cells[i].base};
-  std::vector<ProbeAccumulator> accs = run_sweep(
+  const std::vector<ProbeAccumulator> accs = run_sweep(
       grid, ProbeAccumulator{},
       [&](std::size_t cell, ProbeAccumulator& acc, const TrialContext& ctx,
           Rng& rng) {
@@ -71,13 +71,9 @@ std::vector<ProbeMeasurement> sweep_probes(const std::vector<ProbeCell>& cells,
       opts);
 
   std::vector<ProbeMeasurement> out(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
+  for (std::size_t i = 0; i < cells.size(); ++i)
     out[i] = finalize_probe_measurement(
         accs[i], cells[i].family->universe_size(), cells[i].trials);
-    // Each merged cell accumulator still owns the count buffer its first
-    // fold stole; hand them back so the next sweep reuses them.
-    WorkerScratch::for_thread().give_counts(std::move(accs[i].probe_counts));
-  }
   return out;
 }
 

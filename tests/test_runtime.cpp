@@ -12,10 +12,12 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/constructions.h"
 #include "mismatch/model.h"
+#include "obs/telemetry.h"
 #include "probe/measurements.h"
 #include "runtime/run_trials.h"
 #include "runtime/thread_pool.h"
@@ -123,6 +125,57 @@ TEST(RunTrials, NestedInvocationRunsInlineAndMatches) {
     EXPECT_EQ(nested_sum(threads), sequential) << threads << " threads";
 }
 
+// The pool owns the inline fallback: a chunk that calls for_each_chunk
+// directly (not through run_trials) runs the inner chunks inline on its own
+// thread instead of deadlocking on the pool's batch lock.
+TEST(RunTrials, NestedForEachChunkRunsInline) {
+  const std::uint64_t kInner = 16;
+  TrialOptions opts;
+  opts.threads = 8;
+  opts.chunk_size = 1;
+  const std::vector<std::uint64_t> visits = run_trial_chunks(
+      8, Rng(3), std::vector<std::uint64_t>{},
+      [&](std::vector<std::uint64_t>& acc, const TrialContext&, Rng&) {
+        acc.assign(kInner, 0);
+        ThreadPool::global(7).for_each_chunk(
+            kInner, 8, [&](std::uint64_t c) { ++acc[c]; });
+      },
+      [](std::vector<std::uint64_t>& total,
+         std::vector<std::uint64_t>&& part) {
+        total.resize(part.size(), 0);
+        for (std::size_t i = 0; i < part.size(); ++i) total[i] += part[i];
+      },
+      opts);
+  ASSERT_EQ(visits.size(), kInner);
+  for (std::uint64_t c = 0; c < kInner; ++c)
+    EXPECT_EQ(visits[c], 8u) << "inner chunk " << c;
+}
+
+// run_trial_chunks is the one-cell run_sweep, so it records the sweep
+// metrics: one run, one cell, and every one of its chunks.
+TEST(RunTrials, SingleCellRunRecordsSweepMetrics) {
+  const obs::TelemetryConfig saved = obs::current_config();
+  obs::TelemetryConfig cfg = saved;
+  cfg.metrics = true;
+  obs::configure(cfg);
+  for (const int threads : kThreadCounts) {
+    obs::Registry::instance().reset();
+    TrialOptions opts;
+    opts.threads = threads;
+    opts.chunk_size = 10;
+    run_trial_chunks(
+        95, Rng(4), 0, [](int&, const TrialContext&, Rng&) {},
+        [](int&, int) {}, opts);
+    const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
+    EXPECT_EQ(snap.counter("sweep.runs"), 1u) << threads << " threads";
+    EXPECT_EQ(snap.counter("sweep.cells"), 1u) << threads << " threads";
+    EXPECT_EQ(snap.counter("sweep.chunks_executed"), 10u)
+        << threads << " threads";
+  }
+  obs::configure(saved);
+  obs::Registry::instance().reset();
+}
+
 TEST(RunTrials, ParseThreadCountValidatesTokens) {
   EXPECT_EQ(parse_thread_count("8"), 8);
   EXPECT_EQ(parse_thread_count("1"), 1);
@@ -177,16 +230,21 @@ TEST(RunTrials, InitThreadsFromArgsAppliesDefault) {
 // bench invoked with "--threads=9999" silently running single-threaded is
 // the bug that motivated routing every driver through this parser.
 TEST(RunTrials, InitThreadsFromArgsReportsRejectedValuesOnStderr) {
-  std::vector<std::string> tokens = {"prog", "--threads=4097"};
-  std::vector<char*> argv;
-  for (std::string& t : tokens) argv.push_back(t.data());
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(init_threads_from_args(static_cast<int>(argv.size()), argv.data()),
-            0);
-  const std::string err = testing::internal::GetCapturedStderr();
-  set_default_threads(0);
-  EXPECT_NE(err.find("4097"), std::string::npos) << err;
-  EXPECT_NE(err.find("--threads"), std::string::npos) << err;
+  // Each rejected input with the text its report must quote; a trailing
+  // "--threads" with no value is rejected like any other.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"prog", "--threads=4097"}, "4097"}, {{"prog", "--threads"}, "''"}};
+  for (auto [tokens, quoted] : cases) {
+    std::vector<char*> argv;
+    for (std::string& t : tokens) argv.push_back(t.data());
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(
+        init_threads_from_args(static_cast<int>(argv.size()), argv.data()), 0);
+    const std::string err = testing::internal::GetCapturedStderr();
+    set_default_threads(0);
+    EXPECT_NE(err.find(quoted), std::string::npos) << err;
+    EXPECT_NE(err.find("--threads"), std::string::npos) << err;
+  }
   // A valid flag must stay silent.
   std::vector<std::string> ok_tokens = {"prog", "--threads=2"};
   std::vector<char*> ok_argv;
