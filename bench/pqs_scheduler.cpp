@@ -94,7 +94,7 @@ void simulated_scheduler() {
   NetworkConfig net_config;
   net_config.link_mean_down = 1e-9;
   net_config.link_mean_up = 1e9;
-  Network net(&sim, 2, 2, net_config, Rng(5));
+  Transport net(2, 2, net_config, Rng(5));
   ServerConfig server_config;
   server_config.mean_down = 1e-9;
   server_config.mean_up = 1e9;
@@ -107,8 +107,8 @@ void simulated_scheduler() {
   SimClient y(&sim, &net, &servers, 1, &pqs, client_config, Rng(11));
 
   // Scheduler: starve x->server2 and y->server1 for the whole run.
-  net.transport().block_link(0, 1, sim.now(), 1e9);
-  net.transport().block_link(1, 0, sim.now(), 1e9);
+  net.block_link(0, 1, sim.now(), 1e9);
+  net.block_link(1, 0, sim.now(), 1e9);
 
   int both = 0, meet = 0;
   std::function<void(int)> round = [&](int remaining) {

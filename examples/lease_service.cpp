@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -58,7 +60,7 @@ LeaseStats run_lease_experiment(const QuorumFamily& family, double duration,
   NetworkConfig net_config;
   net_config.link_mean_up = 20.0;  // fairly flaky: ~5% link downtime
   net_config.link_mean_down = 1.0;
-  Network net(&sim, num_clients, n, net_config, rng.split("net"));
+  Transport net(num_clients, n, net_config, rng.split("net"));
 
   ServerConfig server_config;
   server_config.mean_up = 30.0;
@@ -68,10 +70,9 @@ LeaseStats run_lease_experiment(const QuorumFamily& family, double duration,
   for (int i = 0; i < n; ++i)
     servers.emplace_back(i, server_config, rng.split(100 + i));
 
-  std::vector<SimClient> clients;
+  std::deque<SimClient> clients;
   std::vector<Holder> holders(static_cast<std::size_t>(num_clients));
   ClientConfig client_config;
-  clients.reserve(static_cast<std::size_t>(num_clients));
   for (int c = 0; c < num_clients; ++c)
     clients.emplace_back(&sim, &net, &servers, c, &family, client_config,
                          rng.split(200 + c));
@@ -93,43 +94,51 @@ LeaseStats run_lease_experiment(const QuorumFamily& family, double duration,
     ++stats.grants;
   };
 
-  // Each client loops: wait, try to acquire if not holding.
+  // Each client loops: wait (a think event to `thinker`), then try to
+  // acquire.
+  struct Thinker final : SimSink {
+    std::function<void(int)> attempt;
+    void on_event(const SimEvent& ev) override { attempt(ev.client); }
+  } thinker;
   std::function<void(int)> schedule_attempt = [&](int c) {
     if (sim.now() >= duration) return;
-    sim.schedule(rng.exponential(1.0 / 2.0), [&, c] {
-      if (sim.now() >= duration) return;
-      ++stats.attempts;
-      const double started_at = sim.now();
-      clients[static_cast<std::size_t>(c)].read([&, c, started_at](ReadResult r) {
-        stats.probes.add(r.num_probes);
-        const bool free = !r.ok || unpack_expiry(r.value) <= sim.now();
-        if (!r.ok || !free) {
-          schedule_attempt(c);
-          return;
-        }
-        const double until = sim.now() + lease_duration;
-        const std::uint64_t my_value = pack(until, c);
-        clients[static_cast<std::size_t>(c)].write(
-            my_value, [&, c, until, my_value, started_at](WriteResult w) {
-              stats.probes.add(w.num_probes);
-              if (!w.ok) {
-                schedule_attempt(c);
-                return;
-              }
-              // Confirmation read: two contenders can race past the "free"
-              // check, but the register orders their writes; only the one
-              // whose value survived may take the lease. A false confirm
-              // now requires quorum non-intersection — the event the SQS
-              // epsilon bound prices.
-              clients[static_cast<std::size_t>(c)].read(
-                  [&, c, until, my_value, started_at](ReadResult confirm) {
-                    stats.probes.add(confirm.num_probes);
-                    if (confirm.ok && confirm.value == my_value)
-                      record_grant(c, until, started_at);
-                    schedule_attempt(c);
-                  });
-            });
-      });
+    sim.schedule(rng.exponential(1.0 / 2.0), {.target = &thinker,
+                                               .kind = SimEvent::Kind::kThink,
+                                               .client = c});
+  };
+  thinker.attempt = [&](int c) {
+    if (sim.now() >= duration) return;
+    ++stats.attempts;
+    const double started_at = sim.now();
+    clients[static_cast<std::size_t>(c)].read([&, c, started_at](ReadResult r) {
+      stats.probes.add(r.num_probes);
+      const bool free = !r.ok || unpack_expiry(r.value) <= sim.now();
+      if (!r.ok || !free) {
+        schedule_attempt(c);
+        return;
+      }
+      const double until = sim.now() + lease_duration;
+      const std::uint64_t my_value = pack(until, c);
+      clients[static_cast<std::size_t>(c)].write(
+          my_value, [&, c, until, my_value, started_at](WriteResult w) {
+            stats.probes.add(w.num_probes);
+            if (!w.ok) {
+              schedule_attempt(c);
+              return;
+            }
+            // Confirmation read: two contenders can race past the "free"
+            // check, but the register orders their writes; only the one
+            // whose value survived may take the lease. A false confirm now
+            // requires quorum non-intersection — the event the SQS epsilon
+            // bound prices.
+            clients[static_cast<std::size_t>(c)].read(
+                [&, c, until, my_value, started_at](ReadResult confirm) {
+                  stats.probes.add(confirm.num_probes);
+                  if (confirm.ok && confirm.value == my_value)
+                    record_grant(c, until, started_at);
+                  schedule_attempt(c);
+                });
+          });
     });
   };
   for (int c = 0; c < num_clients; ++c) schedule_attempt(c);

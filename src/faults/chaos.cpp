@@ -354,7 +354,7 @@ std::vector<ChaosCellResult> run_chaos(
     const std::string& blackbox_path) {
   // Expand each scenario's data into a runnable configuration: build its
   // family from the spec (falling back to `family` for empty specs),
-  // compose the fault plan with any programmatic hook, and expand the
+  // prepend the scenario's fault plan to the config's, and expand the
   // churn plan into the epoch schedule every replicate shares.
   struct PreparedScenario {
     std::shared_ptr<const QuorumFamily> spec_family;  // null = caller's family
@@ -369,17 +369,10 @@ std::vector<ChaosCellResult> run_chaos(
     p.config = s.config;
     if (!s.family.empty()) p.spec_family = s.family.make();
     p.run_family = p.spec_family != nullptr ? p.spec_family.get() : &family;
-    if (!s.plan.events.empty()) {
-      // The data plan runs first; a hook a caller installed programmatically
-      // still fires (both only schedule events at time 0).
-      const auto prev = p.config.fault_hook;
-      const FaultPlan plan = s.plan;
-      p.config.fault_hook = [plan, prev](Simulator& sim, Network& net,
-                                         std::vector<Replica>& servers) {
-        install_fault_plan(plan, &sim, &net, &servers);
-        if (prev) prev(sim, net, servers);
-      };
-    }
+    // The scenario's plan runs first, then any plan a caller put in the
+    // config directly.
+    p.config.plan.events.insert(p.config.plan.events.begin(),
+                                s.plan.events.begin(), s.plan.events.end());
     if (!s.churn.empty()) {
       p.config.epochs = build_epoch_schedule(s.churn, family_factory(s.family),
                                              p.run_family->universe_size());

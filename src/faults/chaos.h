@@ -78,17 +78,17 @@ struct ChaosInvariants {
 
 // A scenario is *data*: the family by spec, the fault timeline, the churn
 // timeline, the experiment knobs, and the invariant budget. run_chaos
-// expands the plans at execution time (installing the fault hook and the
-// epoch schedule), so a scenario round-trips through JSON
-// (src/faults/scenario_io) and replays without recompiling.
+// expands the plans at execution time (the fault plan into config.plan,
+// the churn plan into the epoch schedule), so a scenario round-trips
+// through JSON (src/faults/scenario_io) and replays without recompiling.
 struct ChaosScenario {
   std::string name;
   std::string description;
   // The family under test, by construction spec. Empty kind = inherit the
   // family passed to run_chaos (the legacy builtin grid).
   FamilySpec family;
-  // Pre-expanded fault timeline; composed with (runs before) any
-  // config.fault_hook a caller installed programmatically.
+  // Pre-expanded fault timeline; run_chaos prepends it to config.plan, so
+  // it runs before any events a caller put there directly.
   FaultPlan plan;
   // Membership timeline; non-empty requires a resizable `family` spec, and
   // run_chaos expands it into config.epochs for every replicate.

@@ -1,17 +1,16 @@
-// Declarative, deterministic fault timelines.
+// Scenario builders: deterministic fault timelines.
 //
-// A FaultPlan is plain data: a list of fault events, each pinned to an
-// absolute simulated time. Building a plan involves no simulator — scenario
-// builders expand churn waves, mass-crash windows, gray fleets, partition
-// storms, and loss/latency bursts into concrete events, drawing any
-// randomness from an explicit Rng so the expansion itself is a pure
-// function of its inputs. One dispatch, apply_fault_event, applies an event
-// to a replica fleet and a Transport at an explicit time; the simulator
-// calls it from one scheduled event per fault event (install_fault_plan, or
-// a RegisterExperimentConfig::fault_hook) and the service runner from its
-// arrival-ordered fault cursor. Application draws nothing from any rng
-// stream, so the same plan + seed reproduces a bit-identical run at any
-// thread count (tests/test_faults.cpp asserts this at 1/2/8 threads).
+// A FaultPlan (sim/fault_event.h) is plain data: fault events pinned to
+// absolute simulated times. Building a plan involves no simulator — the
+// builders below expand churn waves, mass-crash windows, gray fleets,
+// partition storms, loss/latency bursts and Byzantine windows into concrete
+// events, drawing any randomness from an explicit Rng so the expansion
+// itself is a pure function of its inputs. A plan runs as data in either
+// driver: RegisterExperimentConfig::plan in the simulator, whose harness
+// applies each event from a typed kFault event, and ServiceConfig::plan in
+// the service runner. Application draws nothing from any rng stream, so
+// the same plan + seed reproduces a bit-identical run at any thread count
+// (tests/test_faults.cpp asserts this at 1/2/8 threads).
 //
 // Telemetry: in the simulator each applied event bumps `sim.faults.injected`
 // plus a per-kind `sim.faults.<kind>` counter and emits a trace instant, so
@@ -20,67 +19,10 @@
 
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <vector>
-
-#include "sim/network.h"
-#include "sim/server.h"
-#include "sim/simulator.h"
-#include "sim/transport.h"
+#include "sim/fault_event.h"
 #include "util/rng.h"
 
 namespace sqs {
-
-struct FaultEvent {
-  enum class Kind {
-    kServerCrash,       // pin `server` down for `duration`
-    kServerPin,         // pin `server` up for `duration` (restart override)
-    kGrayServer,        // `server`'s service_time x `magnitude` for `duration`
-    kLinkDown,          // block the (client, server) link for `duration`
-    kClientPartition,   // all of `client`'s links down for `duration`;
-                        // magnitude < 1 partitions that fraction instead
-    kServerPartition,   // every client's link to `server` down for `duration`
-    kLatencyBurst,      // deliveries x `magnitude` latency for `duration`
-    kLossBurst,         // extra drop probability `magnitude` for `duration`
-    // Byzantine lie windows: `server` keeps answering but its replies are
-    // corrupted per sim/server.h's LieMode for `duration`. Lies are pure
-    // functions of (liar id, genuine state) — no rng stream is touched.
-    kLieWrongValue,     // inflated timestamps + fabricated values
-    kLieStaleTs,        // pretends the register was never written
-    kLieEquivocate,     // truth to even clients, fabrication to odd clients
-    kLieFabricateAck,   // acks writes without applying them
-  };
-  Kind kind;
-  double at = 0.0;        // absolute simulated seconds
-  double duration = 0.0;
-  int server = -1;
-  int client = -1;
-  double magnitude = 1.0;
-};
-
-const char* fault_kind_name(FaultEvent::Kind kind);
-
-struct FaultPlan {
-  std::vector<FaultEvent> events;
-
-  // Builder-style helpers; all return *this for chaining.
-  FaultPlan& crash(double at, int server, double duration);
-  FaultPlan& pin_up(double at, int server, double duration);
-  FaultPlan& gray(double at, int server, double factor, double duration);
-  FaultPlan& link_down(double at, int client, int server, double duration);
-  FaultPlan& client_partition(double at, int client, double duration,
-                              double fraction = 1.0);
-  FaultPlan& server_partition(double at, int server, double duration);
-  FaultPlan& latency_burst(double at, double factor, double duration);
-  FaultPlan& loss_burst(double at, double drop_prob, double duration);
-  FaultPlan& lie(double at, int server, LieMode mode, double duration);
-
-  // True iff every event's time/duration/indices/magnitudes make sense for
-  // a world of num_clients x num_servers; complaints go to stderr, one line
-  // per bad event, in the style of the sim config validators.
-  bool validate(int num_clients, int num_servers) const;
-};
 
 // --- scenario builders -----------------------------------------------------
 
@@ -123,23 +65,5 @@ FaultPlan make_lossy_plan(double start, double until, double period,
 // window so the lies actually reach clients deterministically.
 FaultPlan make_byzantine_plan(int num_servers, int num_liars, double start,
                               double duration);
-
-// --- application -----------------------------------------------------------
-
-// Applies `ev` to `fleet` and `transport` with every window starting at
-// `now`. Counts and flight events are the caller's.
-void apply_fault_event(const FaultEvent& ev, double now, ReplicaFleet fleet,
-                       Transport& transport);
-
-// Schedules every event of `plan` on `sim` (events whose time already
-// passed fire immediately). Call while the simulator is at time 0 for
-// absolute timing; `servers` outlives the simulation.
-void install_fault_plan(const FaultPlan& plan, Simulator* sim, Network* net,
-                        std::vector<Replica>* servers);
-
-// Wraps the plan as a RegisterExperimentConfig::fault_hook. The returned
-// functor owns a copy of the plan (shared across config copies).
-std::function<void(Simulator&, Network&, std::vector<Replica>&)> fault_hook(
-    FaultPlan plan);
 
 }  // namespace sqs

@@ -9,9 +9,10 @@
 // writes, and tests/test_scenario_io.cpp holds the builtin grid to a
 // byte-for-byte round trip.
 //
-// Deliberately NOT serialized: config.fault_hook (programmatic) and
-// config.epochs (derived — run_chaos expands the churn plan at execution
-// time). scenario_equal compares only the data fields.
+// Deliberately NOT serialized: config.plan (a scenario's faults are its
+// own `plan`, which run_chaos prepends to config.plan) and config.epochs
+// (derived — run_chaos expands the churn plan at execution time).
+// scenario_equal compares only the serialized fields.
 
 #pragma once
 

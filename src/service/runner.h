@@ -42,12 +42,12 @@
 
 #include "core/epoch.h"
 #include "core/quorum_family.h"
-#include "faults/fault_plan.h"
 #include "obs/recorder.h"
 #include "obs/telemetry.h"
 #include "obs/timeline.h"
 #include "service/message.h"
 #include "service/replica.h"
+#include "sim/fault_event.h"
 #include "sim/register_op.h"
 #include "sim/transport.h"
 

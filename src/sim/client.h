@@ -9,8 +9,11 @@
 //
 // The client is RegisterOp's (sim/register_op.h) event-loop driver: the op
 // decides what each reply, fence or miss means and what a read or write
-// adopts; the client sends the messages, keeps the clock and pushes writes
-// to all of S+. Operations complete through callbacks.
+// adopts; the client attempts every hop on the Transport at the simulator's
+// clock, schedules the delivered ones as typed SimEvents to itself, and
+// pushes writes to all of S+. A client runs one operation at a time (an
+// assertion holds callers to it) and keeps that op's state by value; the
+// op completes through its callback, which may start the next one.
 //
 // Graceful degradation (all off by default, so the classic single-shot
 // behaviour — and its rng stream — is unchanged): a failed acquisition can
@@ -25,15 +28,17 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/epoch.h"
 #include "core/quorum_family.h"
 #include "obs/recorder.h"
-#include "sim/network.h"
 #include "sim/register_op.h"
 #include "sim/server.h"
 #include "sim/simulator.h"
+#include "sim/transport.h"
 
 namespace sqs {
 
@@ -108,12 +113,12 @@ struct WriteResult : OpReport {
   int acks = 0;
 };
 
-class SimClient {
+class SimClient final : public SimSink {
  public:
   // `epochs` (optional) switches the client into epoch mode: the default
   // acquire/read/write overloads resolve family and membership from the
   // client's own — possibly stale — view epoch instead of `family`.
-  SimClient(Simulator* sim, Network* net, std::vector<Replica>* servers,
+  SimClient(Simulator* sim, Transport* net, std::vector<Replica>* servers,
             int id, const QuorumFamily* family, const ClientConfig& config,
             Rng rng, const EpochState* epochs = nullptr);
 
@@ -125,48 +130,106 @@ class SimClient {
   std::uint64_t epoch_rejects() const { return epoch_rejects_; }
   std::uint64_t retired_reads() const { return retired_reads_; }
 
-  // Runs the probe strategy to completion; `done` fires exactly once.
+  // Runs the probe strategy to completion; `done` fires exactly once. At
+  // most one operation may be in flight; `done` may start the next.
   // The default overloads use the client's configured family and object 0;
   // the explicit ones support multi-object stores where each object has its
   // own (e.g. rotated) family.
-  void acquire(std::function<void(AcquisitionResult)> done);
+  void acquire(std::function<void(AcquisitionResult)> done) {
+    start_op(default_family(), /*object=*/0, 0, std::move(done));
+  }
   void acquire(const QuorumFamily& family, int object,
-               std::function<void(AcquisitionResult)> done);
-
-  void read(std::function<void(ReadResult)> done);
+               std::function<void(AcquisitionResult)> done) {
+    start_op(&family, object, 0, std::move(done));
+  }
+  void read(std::function<void(ReadResult)> done) {
+    start_op(default_family(), /*object=*/0, 0, std::move(done));
+  }
   void read(const QuorumFamily& family, int object,
-            std::function<void(ReadResult)> done);
-  void write(std::uint64_t value, std::function<void(WriteResult)> done);
+            std::function<void(ReadResult)> done) {
+    start_op(&family, object, 0, std::move(done));
+  }
+  void write(std::uint64_t value, std::function<void(WriteResult)> done) {
+    start_op(default_family(), /*object=*/0, value, std::move(done));
+  }
   void write(const QuorumFamily& family, int object, std::uint64_t value,
-             std::function<void(WriteResult)> done);
+             std::function<void(WriteResult)> done) {
+    start_op(&family, object, value, std::move(done));
+  }
 
   // The probe timeout the next probe would use (adaptive or fixed).
   double current_probe_timeout() const;
 
+  // The legs of this client's messages, retries and view fetches.
+  void on_event(const SimEvent& ev) override;
+
  private:
-  struct Acquisition;
+  using Done = std::variant<std::monostate,
+                            std::function<void(AcquisitionResult)>,
+                            std::function<void(ReadResult)>,
+                            std::function<void(WriteResult)>>;
+
+  // The operation in flight; `done` holds a callback exactly while it is.
+  struct Op {
+    explicit Op(const RegisterProtocolConfig& config) : protocol(config) {}
+    Done done;
+    // Null in epoch mode: each attempt resolves the family from the view.
+    const QuorumFamily* family = nullptr;
+    int object = 0;
+    std::uint64_t value = 0;  // a write's value
+    double start = 0.0;
+    RegisterOp protocol;
+    std::unique_ptr<ProbeStrategy> strategy;
+    Rng strategy_rng;
+    AcquisitionResult result;
+    // The probe in flight: its id (0 = none), target and send time.
+    std::uint64_t pending_seq = 0;
+    RegisterOp::Probe probe{};
+    double probe_sent_at = 0.0;
+    // A write's push to S+: outstanding pushes, their start and, per
+    // replica, whether its ack or timeout already resolved it.
+    WriteResult written;
+    int pushes_left = 0;
+    double push_start = 0.0;
+    std::vector<char> push_resolved;
+  };
+
   const QuorumFamily* default_family() const {
     return epochs_ != nullptr ? nullptr : family_;
   }
-  void start_op(const QuorumFamily* family, int object,
-                std::function<void(Acquisition&)> done);
-  void start_attempt(std::shared_ptr<Acquisition> acq);
-  void issue_next_probe(std::shared_ptr<Acquisition> acq);
-  void finish_attempt(std::shared_ptr<Acquisition> acq);
+  Replica& server(int replica) {
+    return (*servers_)[static_cast<std::size_t>(replica)];
+  }
+  // Schedules `ev` to this client after `delay`.
+  void after(double delay, SimEvent ev);
+  // Attempts the hop to or from `replica` now; a delivered message becomes
+  // `ev` after its latency, a lost one nothing.
+  void send(int replica, SimEvent ev);
+  // True for the first outcome of probe `seq` (a reply races its timeout).
+  bool resolve(std::uint64_t seq);
+
+  void start_op(const QuorumFamily* family, int object, std::uint64_t value,
+                Done done);
+  void start_attempt();
+  void issue_next_probe();
+  void finish_attempt();
   void learn_view();
-  void finish_read(const Acquisition& acq,
-                   const std::function<void(ReadResult)>& done);
-  void finish_write(const Acquisition& acq, std::uint64_t value,
-                    const std::function<void(WriteResult)>& done);
+  void finish_read();
+  void finish_write();
+  void resolve_push(int replica, std::uint64_t op, bool acked);
+  // Ends the op, then hands `result` to its callback.
+  template <class Result>
+  void complete(const Result& result);
 
   Simulator* sim_;
-  Network* net_;
+  Transport* net_;
   std::vector<Replica>* servers_;
   int id_;
   const QuorumFamily* family_;
   ClientConfig config_;
   Rng rng_;
   const EpochState* epochs_ = nullptr;  // non-null in epoch mode
+  Op op_;
   int view_epoch_ = 0;                  // the epoch this client believes in
   std::uint64_t view_refreshes_ = 0;
   std::uint64_t epoch_rejects_ = 0;

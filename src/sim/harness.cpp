@@ -1,6 +1,10 @@
 #include "sim/harness.h"
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -26,14 +30,34 @@ obs::Histogram client_latency_histogram(int client_idx) {
       obs::pow2_bounds(6, 26));
 }
 
-struct Experiment {
+// Counts an applied fault event: sim.faults.injected plus one counter per
+// kind, the four lie modes (the last kinds) sharing sim.faults.lie.
+void count_fault(FaultEvent::Kind kind) {
+  static_assert(static_cast<int>(FaultEvent::Kind::kLieWrongValue) == 8);
+  static const std::array<obs::Counter, 10> counters = [] {
+    static const char* const kNames[] = {
+        "injected",         "crash",         "pin",        "gray", "link_down",
+        "client_partition", "server_partition", "latency_burst", "loss_burst",
+        "lie"};
+    std::array<obs::Counter, 10> out;
+    for (std::size_t i = 0; i < out.size(); ++i)
+      out[i] = obs::Registry::instance().counter(std::string("sim.faults.") +
+                                                 kNames[i]);
+    return out;
+  }();
+  counters[0].add(1);
+  counters[1 + std::min<std::size_t>(static_cast<std::size_t>(kind), 8)].add(1);
+}
+
+struct Experiment final : SimSink {
   const QuorumFamily* family;
   RegisterExperimentConfig config;
   Simulator sim;
-  std::unique_ptr<Network> net;
+  std::unique_ptr<Transport> net;
   std::vector<Replica> servers;
-  std::vector<SimClient> clients;
+  std::deque<SimClient> clients;
   Rng rng;
+  Rng partition_rng;
   // Epoch mode: the mutable cursor all clients compare their view against.
   EpochState epoch_state;
   RegisterExperimentResult result;
@@ -92,10 +116,45 @@ struct Experiment {
                 -1, static_cast<std::uint64_t>(e_idx));
   }
 
+  void on_event(const SimEvent& ev) override {
+    switch (ev.kind) {
+      case SimEvent::Kind::kThink: return start_op(ev.client);
+      case SimEvent::Kind::kEpoch:
+        return cross_epoch(static_cast<int>(ev.value));
+      case SimEvent::Kind::kPartition: return inject_partition();
+      case SimEvent::Kind::kFault:
+        return apply_fault(config.plan.events[ev.value]);
+      default: assert(false && "not a harness event");
+    }
+  }
+
+  void apply_fault(const FaultEvent& ev) {
+    apply_fault_event(ev, sim.now(), servers, *net);
+    count_fault(ev.kind);
+    obs::instant("faults", fault_kind_name(ev.kind), "target",
+                 static_cast<std::uint64_t>(ev.server >= 0   ? ev.server
+                                            : ev.client >= 0 ? ev.client
+                                                             : 0));
+  }
+
+  // One partial client partition, then the next arrival of the Poisson
+  // injector.
+  void inject_partition() {
+    if (sim.now() >= config.duration) return;
+    const int victim = static_cast<int>(partition_rng.next_below(
+        static_cast<std::uint64_t>(config.num_clients)));
+    net->partition_client_partial(victim, config.partition_fraction,
+                                  sim.now(), config.partition_duration);
+    sim.schedule(partition_rng.exponential(config.partition_rate),
+                 {.target = this, .kind = SimEvent::Kind::kPartition});
+  }
+
   void schedule_next_op(int client_idx) {
     if (sim.now() >= config.duration) return;
     const double delay = rng.exponential(1.0 / config.think_time);
-    sim.schedule(delay, [this, client_idx] { start_op(client_idx); });
+    sim.schedule(delay, {.target = this,
+                         .kind = SimEvent::Kind::kThink,
+                         .client = client_idx});
   }
 
   void start_op(int client_idx) {
@@ -185,8 +244,10 @@ RegisterExperimentResult run_register_experiment(
   const bool epoch_mode = config.epochs != nullptr;
   const int n = epoch_mode ? config.epochs->num_logical : family.universe_size();
 
-  e.net = std::make_unique<Network>(&e.sim, config.num_clients, n,
-                                    config.network, e.rng.split("network"));
+  if (!config.plan.validate(config.num_clients, n)) return {};
+
+  e.net = std::make_unique<Transport>(config.num_clients, n, config.network,
+                                      e.rng.split("network"));
   e.servers.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     e.servers.emplace_back(i, config.server,
@@ -199,7 +260,6 @@ RegisterExperimentResult run_register_experiment(
     for (int i = 0; i < n; ++i)
       e.servers[static_cast<std::size_t>(i)].set_member(initial.contains(i));
   }
-  e.clients.reserve(static_cast<std::size_t>(config.num_clients));
   for (int c = 0; c < config.num_clients; ++c)
     e.clients.emplace_back(&e.sim, e.net.get(), &e.servers, c, &family,
                            config.client,
@@ -208,48 +268,40 @@ RegisterExperimentResult run_register_experiment(
   e.last_read_ts.assign(static_cast<std::size_t>(config.num_clients),
                         Timestamp{});
 
-  // Install the fault plan (if any) before the first load event. The hook
-  // draws no randomness, so runs with and without it consume identical
-  // rng streams for everything else.
-  if (config.fault_hook) config.fault_hook(e.sim, *e.net, e.servers);
-
-  // Schedule the epoch transitions (entry times are strictly increasing and
-  // sim.now() is still 0, so the delay is the absolute time).
+  // The fault plan, then the epoch transitions, go on the queue before the
+  // first load event; sim.now() is still 0, so each delay is the absolute
+  // time. Neither draws randomness, so runs with and without them consume
+  // identical rng streams for everything else.
+  for (std::size_t i = 0; i < config.plan.events.size(); ++i)
+    e.sim.schedule(config.plan.events[i].at,
+                   {.target = &e,
+                    .kind = SimEvent::Kind::kFault,
+                    .value = static_cast<std::uint64_t>(i)});
   if (epoch_mode) {
-    for (int ei = 1; ei < config.epochs->num_epochs(); ++ei) {
-      const double at = config.epochs->entry(ei).at;
-      e.sim.schedule(at, [&e, ei] { e.cross_epoch(ei); });
-    }
+    for (int ei = 1; ei < config.epochs->num_epochs(); ++ei)
+      e.sim.schedule(config.epochs->entry(ei).at,
+                     {.target = &e,
+                      .kind = SimEvent::Kind::kEpoch,
+                      .value = static_cast<std::uint64_t>(ei)});
   }
 
   for (int c = 0; c < config.num_clients; ++c) e.schedule_next_op(c);
 
   // Partition injector.
   if (config.partition_rate > 0.0) {
-    Rng part_rng = e.rng.split("partitions");
-    std::function<void()> inject = [&e, &part_rng, &config, &inject] {
-      if (e.sim.now() >= config.duration) return;
-      const int victim =
-          static_cast<int>(part_rng.next_below(static_cast<std::uint64_t>(
-              config.num_clients)));
-      e.net->transport().partition_client_partial(
-          victim, config.partition_fraction, e.sim.now(),
-          config.partition_duration);
-      e.sim.schedule(part_rng.exponential(config.partition_rate), inject);
-    };
-    e.sim.schedule(part_rng.exponential(config.partition_rate), inject);
-    // Allow in-flight operations a grace period to finish.
-    e.sim.run_until(config.duration + 60.0);
-  } else {
-    // Allow in-flight operations a grace period to finish.
-    e.sim.run_until(config.duration + 60.0);
+    e.partition_rng = e.rng.split("partitions");
+    e.sim.schedule(e.partition_rng.exponential(config.partition_rate),
+                   {.target = &e, .kind = SimEvent::Kind::kPartition});
   }
+  // Allow in-flight operations a grace period to finish.
+  e.sim.run_until(config.duration + 60.0);
   e.result.events_executed = e.sim.executed_events();
   e.result.peak_event_queue = e.sim.peak_pending_events();
 
   const ReplicaCounts counts = fleet_counts(e.servers);
   e.result.server_ts_regressions = static_cast<long>(counts.ts_regressions);
   e.result.server_dropped_requests = counts.dropped_requests;
+  e.result.lies_told = counts.lies_told;
   publish_replica_counts("sim.server", counts);
   if (e.audit.lost_acked_write(e.servers)) {
     e.result.lost_writes = 1;
@@ -279,6 +331,7 @@ RegisterExperimentResult run_register_experiment(
   }
   e.result.net_delivered = e.net->messages_delivered();
   e.result.net_dropped = e.net->messages_dropped();
+  publish_transport_counts("sim.net", *e.net);
 
   span.arg("events", e.sim.executed_events());
   return e.result;

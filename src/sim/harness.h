@@ -11,7 +11,6 @@
 
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "core/quorum_family.h"
 #include "runtime/run_trials.h"
 #include "sim/client.h"
+#include "sim/fault_event.h"
 #include "util/stats.h"
 
 namespace sqs {
@@ -40,12 +40,14 @@ struct RegisterExperimentConfig {
   double partition_fraction = 0.6;
   double partition_duration = 5.0;
   std::uint64_t seed = 1;
-  // Fault-injection hook (see src/faults): invoked once after the world is
-  // built, before any load or background event is scheduled. It must not
-  // draw from the experiment's rng (fault plans are pre-expanded), so
-  // installing a plan never perturbs the load's random streams and the
-  // same plan + seed reproduces a bit-identical run.
-  std::function<void(Simulator&, Network&, std::vector<Replica>&)> fault_hook;
+  // Fault timeline (sim/fault_event.h; builders in src/faults), as data:
+  // each event is scheduled at its absolute time before any load or
+  // background event and applied through apply_fault_event. Plans are
+  // pre-expanded and application draws no randomness, so a plan never
+  // perturbs the load's random streams and the same plan + seed reproduces
+  // a bit-identical run. A plan FaultPlan::validate rejects for the run's
+  // clients and fleet rejects the run.
+  FaultPlan plan;
   // Epoch-based reconfiguration (nullptr = classic fixed universe). The
   // fleet is sized to epochs->num_logical; servers outside epoch 0's view
   // start retired. At each entry's `at` the harness performs the membership
@@ -87,10 +89,12 @@ struct RegisterExperimentResult {
                                // serve_while_retired re-opens the hole)
   long stale_views_at_end = 0;  // clients not on the final epoch when the run
                                 // ended (view-refresh-converges evidence)
-  // Network/server drop totals for the run (always on, mirrors sim.net.*).
+  // Transport/fleet totals for the run (always on; published once per run
+  // as sim.net.{delivered,dropped} and sim.server.*).
   std::uint64_t net_delivered = 0;
   std::uint64_t net_dropped = 0;
   std::uint64_t server_dropped_requests = 0;
+  std::uint64_t lies_told = 0;  // corrupted replies + fabricated acks
   // Event-loop statistics of the run's Simulator (observability of the
   // harness itself, not a paper metric).
   std::uint64_t events_executed = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 #include "obs/telemetry.h"
 
@@ -32,15 +31,18 @@ struct SimMetrics {
 
 }  // namespace
 
-void Simulator::schedule(double delay, std::function<void()> fn) {
-  assert(delay >= 0.0);
-  heap_.push_back(Event{now_ + delay, now_, next_seq_++, std::move(fn)});
+void Simulator::schedule(double delay, SimEvent ev) {
+  assert(delay >= 0.0 && ev.target != nullptr);
+  ev.time = now_ + delay;
+  ev.sched_at = now_;
+  ev.seq = next_seq_++;
+  heap_.push_back(ev);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   peak_pending_ = std::max(peak_pending_, heap_.size());
   if (obs::metrics_enabled()) SimMetrics::get().scheduled.add();
 }
 
-Simulator::Event Simulator::pop_next() {
+void Simulator::run_next() {
   if (obs::metrics_enabled()) {
     const SimMetrics& metrics = SimMetrics::get();
     metrics.executed.add();
@@ -50,20 +52,20 @@ Simulator::Event Simulator::pop_next() {
         wait_us > 0.0 ? static_cast<std::uint64_t>(wait_us) : 0);
   }
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event event = std::move(heap_.back());
+  const SimEvent event = heap_.back();
   heap_.pop_back();
   now_ = event.time;
   ++executed_events_;
-  return event;
+  event.target->on_event(event);
 }
 
 void Simulator::run_until(double deadline) {
-  while (!heap_.empty() && heap_.front().time <= deadline) pop_next().fn();
+  while (!heap_.empty() && heap_.front().time <= deadline) run_next();
   if (now_ < deadline) now_ = deadline;
 }
 
 void Simulator::run() {
-  while (!heap_.empty()) pop_next().fn();
+  while (!heap_.empty()) run_next();
 }
 
 }  // namespace sqs

@@ -1,17 +1,80 @@
 // A minimal discrete-event simulator.
 //
-// Time is a double (seconds). Events are closures ordered by (time, seq);
-// the seq tiebreak makes execution deterministic for equal timestamps. The
-// wide-area harness (network, servers, clients) runs entirely on top of
-// this loop, so every simulated experiment is reproducible from its seed.
+// Time is a double (seconds). Events are plain data (SimEvent) ordered by
+// (time, seq); the seq tiebreak makes execution deterministic for equal
+// timestamps. Each event names the sink that handles it, and each sink has
+// one switch over the event kinds it owns: a SimClient runs the legs of its
+// probes, write pushes, retries and view fetches, and the harness or the
+// store runs think time, epoch boundaries, partitions and fault-plan
+// events. An event owns no memory, so scheduling one never allocates once
+// the queue has grown. The wide-area harness (transport, replicas, clients)
+// runs entirely on this loop, so every simulated experiment is reproducible
+// from its seed.
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "sim/server.h"
+
 namespace sqs {
+
+class SimSink;
+
+struct SimEvent {
+  enum class Kind : std::uint8_t {
+    // Load and world events (harness, store).
+    kThink,      // `client` starts its next operation
+    kEpoch,      // cross into epoch `value`
+    kPartition,  // the partition injector fires
+    kFault,      // apply fault-plan event number `value`
+    // A SimClient's legs (sim/client.h); `probe` names the probe.
+    kProbeRequest,   // probe reaches `replica`; `flag`: sent under a view
+    kProbeServed,    // `replica` served (ts, value); `flag`: it was retired
+    kFenceServed,    // retired `replica` rejected the probe
+    kProbeReply,     // the served reply reaches the client
+    kFenceReply,     // the rejection reaches the client
+    kProbeTimeout,   // the probe's timeout expires
+    kFilterTimeout,  // a filtered attempt resolves
+    kRetry,          // backoff over: next acquisition attempt
+    kViewFetched,    // stale-view fetch done: learn it and re-probe
+    kLearnView,      // a finished op's view refresh lands
+    // Write pushes and read repair; `probe` is the write's op id.
+    kPushRequest,  // (ts, value) of `object` reaches `replica`
+    kPushServed,   // `replica` applied it
+    kPushAck,      // its ack reaches the client
+    kPushTimeout,  // the push's timeout expires
+    kRepair,       // a read-repair write reaches `replica`
+  };
+
+  SimSink* target = nullptr;
+  Kind kind = Kind::kThink;
+  bool flag = false;
+  int client = -1;
+  int replica = -1;
+  int object = 0;
+  std::uint64_t probe = 0;
+  Timestamp ts{};
+  std::uint64_t value = 0;
+  // Filled in by Simulator::schedule.
+  double time = 0.0;
+  double sched_at = 0.0;  // clock value when schedule() was called
+  std::uint64_t seq = 0;
+};
+
+// Whatever handles events: one switch over the kinds it schedules. Queued
+// events hold the sink's address, so a sink is neither copied nor moved.
+class SimSink {
+ public:
+  virtual void on_event(const SimEvent& ev) = 0;
+
+ protected:
+  SimSink() = default;
+  SimSink(const SimSink&) = delete;
+  SimSink& operator=(const SimSink&) = delete;
+  ~SimSink() = default;
+};
 
 class Simulator {
  public:
@@ -19,8 +82,8 @@ class Simulator {
 
   double now() const { return now_; }
 
-  // Schedules fn to run `delay` seconds from now (delay >= 0).
-  void schedule(double delay, std::function<void()> fn);
+  // Schedules `ev` for ev.target, `delay` seconds from now (delay >= 0).
+  void schedule(double delay, SimEvent ev);
 
   // Runs events until the queue drains or `deadline` passes (events at
   // exactly `deadline` still run).
@@ -38,20 +101,9 @@ class Simulator {
   std::size_t peak_pending_events() const { return peak_pending_; }
 
  private:
-  // The queue is a binary heap over a plain vector (std::push_heap /
-  // std::pop_heap) rather than std::priority_queue: priority_queue::top()
-  // is const, forcing a copy of the event's std::function before pop() —
-  // one heap allocation per event in the hot loop. The vector heap lets
-  // both schedule() and the pop path move the closure.
-  struct Event {
-    double time;
-    double sched_at;  // clock value when schedule() was called
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
   // Orders the heap so the earliest (time, seq) event is at the front.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const SimEvent& a, const SimEvent& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
@@ -59,14 +111,14 @@ class Simulator {
 
   static constexpr std::size_t kInitialCapacity = 1024;
 
-  // Removes and returns the earliest event, advancing the clock.
-  Event pop_next();
+  // Removes the earliest event, advances the clock and dispatches it.
+  void run_next();
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_events_ = 0;
   std::size_t peak_pending_ = 0;
-  std::vector<Event> heap_;
+  std::vector<SimEvent> heap_;
 };
 
 }  // namespace sqs

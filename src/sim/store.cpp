@@ -1,6 +1,9 @@
 #include "sim/store.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstdio>
+#include <deque>
 #include <memory>
 
 namespace sqs {
@@ -22,12 +25,12 @@ double StoreExperimentResult::min_server_load() const {
 
 namespace {
 
-struct StoreExperiment {
+struct StoreExperiment final : SimSink {
   StoreExperimentConfig config;
   Simulator sim;
-  std::unique_ptr<Network> net;
+  std::unique_ptr<Transport> net;
   std::vector<Replica> servers;
-  std::vector<SimClient> clients;
+  std::deque<SimClient> clients;
   std::vector<OptDFamily> families;  // one per object
   Rng rng;
   StoreExperimentResult result;
@@ -40,10 +43,17 @@ struct StoreExperiment {
     probed.negative().for_each([&](std::size_t i) { ++probe_counts[i]; });
   }
 
+  void on_event(const SimEvent& ev) override {
+    assert(ev.kind == SimEvent::Kind::kThink && "not a store event");
+    start_op(ev.client);
+  }
+
   void schedule_next_op(int client_idx) {
     if (sim.now() >= config.duration) return;
     const double delay = rng.exponential(1.0 / config.think_time);
-    sim.schedule(delay, [this, client_idx] { start_op(client_idx); });
+    sim.schedule(delay, {.target = this,
+                         .kind = SimEvent::Kind::kThink,
+                         .client = client_idx});
   }
 
   void start_op(int client_idx) {
@@ -83,7 +93,28 @@ struct StoreExperiment {
 
 }  // namespace
 
+bool StoreExperimentConfig::validate() const {
+  bool ok = true;
+  const auto reject = [&ok](const char* what, double value) {
+    std::fprintf(stderr, "StoreExperimentConfig: invalid %s %g\n", what,
+                 value);
+    ok = false;
+  };
+  if (num_servers < 1) reject("num_servers", num_servers);
+  if (num_objects < 1) reject("num_objects", num_objects);
+  if (num_clients < 1) reject("num_clients", num_clients);
+  if (!(duration > 0.0)) reject("duration", duration);
+  if (!(think_time > 0.0)) reject("think_time", think_time);
+  if (!(read_fraction >= 0.0 && read_fraction <= 1.0))
+    reject("read_fraction", read_fraction);
+  if (!network.validate()) ok = false;
+  if (!server.validate()) ok = false;
+  if (!client.validate()) ok = false;
+  return ok;
+}
+
 StoreExperimentResult run_store_experiment(const StoreExperimentConfig& config) {
+  if (!config.validate()) return {};  // rejected; details already on stderr
   StoreExperiment e;
   e.config = config;
   e.rng = Rng(config.seed);
@@ -101,13 +132,12 @@ StoreExperimentResult run_store_experiment(const StoreExperimentConfig& config) 
     e.families.push_back(std::move(family));
   }
 
-  e.net = std::make_unique<Network>(&e.sim, config.num_clients, n,
-                                    config.network, e.rng.split("network"));
+  e.net = std::make_unique<Transport>(config.num_clients, n, config.network,
+                                      e.rng.split("network"));
   e.servers.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     e.servers.emplace_back(i, config.server,
                            e.rng.split(1000 + static_cast<std::uint64_t>(i)));
-  e.clients.reserve(static_cast<std::size_t>(config.num_clients));
   for (int c = 0; c < config.num_clients; ++c)
     e.clients.emplace_back(&e.sim, e.net.get(), &e.servers, c,
                            &e.families.front(), config.client,
@@ -118,6 +148,7 @@ StoreExperimentResult run_store_experiment(const StoreExperimentConfig& config) 
 
   for (int c = 0; c < config.num_clients; ++c) e.schedule_next_op(c);
   e.sim.run_until(config.duration + 60.0);
+  publish_transport_counts("sim.net", *e.net);
 
   e.result.server_probe_fraction.assign(static_cast<std::size_t>(n), 0.0);
   if (e.result.ops_attempted > 0) {

@@ -33,6 +33,11 @@ struct StoreExperimentConfig {
   ServerConfig server;
   ClientConfig client;
   std::uint64_t seed = 1;
+
+  // True iff the world is non-empty and every duration/fraction is usable
+  // (delegates to the network/server/client validators); complaints go to
+  // stderr.
+  bool validate() const;
 };
 
 struct StoreExperimentResult {
@@ -53,6 +58,7 @@ struct StoreExperimentResult {
   double min_server_load() const;
 };
 
+// An invalid config (see validate) yields an empty result.
 StoreExperimentResult run_store_experiment(const StoreExperimentConfig& config);
 
 }  // namespace sqs

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "obs/telemetry.h"
+
 namespace sqs {
 
 bool NetworkConfig::validate() const {
@@ -136,6 +138,16 @@ double Transport::client_partition_fraction(int client, double now) const {
   const PartialPartition& pp =
       partial_partitions_[static_cast<std::size_t>(client)];
   return now < pp.until ? pp.fraction : 0.0;
+}
+
+void publish_transport_counts(const std::string& prefix,
+                              const Transport& transport) {
+  const std::uint64_t delivered = transport.messages_delivered();
+  const std::uint64_t dropped = transport.messages_dropped();
+  if (delivered == 0 && dropped == 0) return;
+  obs::Registry& registry = obs::Registry::instance();
+  registry.counter(prefix + ".delivered").add(delivered);
+  registry.counter(prefix + ".dropped").add(dropped);
 }
 
 }  // namespace sqs

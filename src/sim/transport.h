@@ -1,25 +1,33 @@
 // The in-process message transport: one shared link-state machine for the
 // discrete-event simulator AND the staged replicated-register service.
 //
-// Extracted from Network (src/sim/network.*), which now adapts it to the
-// event loop. Transport owns everything that decides a message's fate —
-// flapping per-(client, server) links, partitions, link blocks, latency and
-// loss bursts — but holds no clock of its own: every query passes the
-// caller's notion of "now" explicitly. The simulator passes Simulator::now();
-// the service runner (src/service) passes the virtual timeline of its
-// open-loop load schedule. Because the state machine and its rng draw order
-// are exactly the ones Network used, extracting it changed no simulated
-// result bit, and a FaultPlan timeline drives served traffic through the
-// same hooks it drives a simulation through.
+// Transport owns everything that decides a message's fate — flapping
+// per-(client, server) links, partitions, link blocks, latency and loss
+// bursts — but holds no clock of its own: every query passes the caller's
+// notion of "now" explicitly. Both drivers call attempt() directly: the
+// simulator's clients pass Simulator::now() and schedule a delivered hop as
+// a typed event, the service runner (src/service) passes the virtual
+// timeline of its open-loop load schedule. Fault plans drive served traffic
+// through the same hooks they drive a simulation through.
+//
+// Links between each (client, server) pair flap independently: alternating
+// exponentially-distributed up and down periods, evaluated lazily. A message
+// attempted while the link is down is lost; otherwise it is delivered after
+// base latency plus exponential jitter. Because down periods persist in
+// time, two clients probing the same server around the same moment can see
+// different outcomes — exactly the paper's *mismatch* mechanism — while
+// mismatches on different servers stay independent (each pair has its own
+// process), matching the Sect. 4 assumption. A partition switch makes a
+// whole client's links fail together for testing the correlated case.
 //
 // Time must not flow backwards between calls that touch the same link: the
-// flap processes advance lazily and only forward (the same contract the
-// Network always had via the monotone simulator clock). The service runner
-// satisfies it by evaluating operations in arrival order.
+// flap processes advance lazily and only forward. The simulator's clock is
+// monotone, and the service runner evaluates operations in arrival order.
 
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -54,7 +62,7 @@ class Transport {
   // Decides the fate of a message on the (client, server) link at `now`:
   // lost if the link is down (or a loss burst fires), otherwise delivered
   // after base latency plus exponential jitter (times any active latency
-  // burst). Draw order matches the historical Network::send exactly.
+  // burst).
   Delivery attempt(int client, int server, double now);
 
   // True if the (client, server) link is up at `now`.
@@ -73,13 +81,8 @@ class Transport {
   bool client_partition_active(int client, double now) const;
   double client_partition_fraction(int client, double now) const;
 
-  const NetworkConfig& config() const { return config_; }
-  int num_clients() const { return num_clients_; }
-  int num_servers() const { return num_servers_; }
-
-  // Lifetime totals of the attempt path (mirrors the sim.net.{delivered,
-  // dropped} counters, but always on so harness invariants need no
-  // telemetry).
+  // Lifetime totals of the attempt path, always on so harness invariants
+  // need no telemetry (see publish_transport_counts).
   std::uint64_t messages_delivered() const { return delivered_; }
   std::uint64_t messages_dropped() const { return dropped_; }
 
@@ -115,5 +118,11 @@ class Transport {
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
 };
+
+// Adds the transport's lifetime totals to the registry counters
+// <prefix>.delivered and <prefix>.dropped (the simulator publishes once per
+// run under "sim.net"). A transport that carried nothing registers nothing.
+void publish_transport_counts(const std::string& prefix,
+                              const Transport& transport);
 
 }  // namespace sqs

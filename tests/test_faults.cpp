@@ -9,6 +9,7 @@
 
 #include "core/constructions.h"
 #include "faults/fault_plan.h"
+#include "obs/recorder.h"
 #include "sim/harness.h"
 
 namespace sqs {
@@ -89,75 +90,56 @@ TEST(Faults, ServerTracksMaxTimestampAcrossAmnesia) {
 // ---- network injections ----
 
 TEST(Faults, ForcePartitionBlocksServerWideAndExtends) {
-  Simulator sim;
-  Network net(&sim, 3, 4, reliable_network(), Rng(17));
-  net.transport().force_partition(1, sim.now(), 5.0);
+  Transport net(3, 4, reliable_network(), Rng(17));
+  net.force_partition(1, 0.0, 5.0);
   for (int c = 0; c < 3; ++c) {
-    EXPECT_FALSE(net.link_up(c, 1));
-    EXPECT_TRUE(net.link_up(c, 0));  // other servers unaffected
+    EXPECT_FALSE(net.link_up(c, 1, 0.0));
+    EXPECT_TRUE(net.link_up(c, 0, 0.0));  // other servers unaffected
   }
-  sim.run_until(3.0);
   // A shorter window must not shorten the first.
-  net.transport().force_partition(1, sim.now(), 1.0);
-  sim.run_until(4.5);
-  EXPECT_FALSE(net.link_up(0, 1));
-  sim.run_until(6.0);
-  EXPECT_TRUE(net.link_up(0, 1));
+  net.force_partition(1, 3.0, 1.0);
+  EXPECT_FALSE(net.link_up(0, 1, 4.5));
+  EXPECT_TRUE(net.link_up(0, 1, 6.0));
 }
 
 TEST(Faults, ForcePartitionOverlapsInFlightDownPeriod) {
   // Natural link state persists underneath a forced window: a link that is
   // naturally down when the window expires stays down, a healthy one
   // resumes service.
-  Simulator sim;
   NetworkConfig always_down;
   always_down.link_mean_up = 1e-9;
   always_down.link_mean_down = 1e9;  // in a ~forever down-period
-  Network dead(&sim, 1, 2, always_down, Rng(19));
-  dead.transport().force_partition(0, sim.now(), 5.0);
-  EXPECT_FALSE(dead.link_up(0, 0));
-  sim.run_until(6.0);
-  EXPECT_FALSE(dead.link_up(0, 0));  // forced window over, natural down holds
+  Transport dead(1, 2, always_down, Rng(19));
+  dead.force_partition(0, 0.0, 5.0);
+  EXPECT_FALSE(dead.link_up(0, 0, 0.0));
+  EXPECT_FALSE(dead.link_up(0, 0, 6.0));  // window over, natural down holds
 
-  Simulator sim2;
-  Network healthy(&sim2, 1, 2, reliable_network(), Rng(19));
-  healthy.transport().force_partition(0, sim2.now(), 5.0);
-  EXPECT_FALSE(healthy.link_up(0, 0));
-  sim2.run_until(6.0);
-  EXPECT_TRUE(healthy.link_up(0, 0));  // natural up state resumes
+  Transport healthy(1, 2, reliable_network(), Rng(19));
+  healthy.force_partition(0, 0.0, 5.0);
+  EXPECT_FALSE(healthy.link_up(0, 0, 0.0));
+  EXPECT_TRUE(healthy.link_up(0, 0, 6.0));  // natural up state resumes
 }
 
 TEST(Faults, LatencyBurstMultipliesDeliveryLatency) {
-  Simulator sim;
   NetworkConfig config = reliable_network();
   config.base_latency = 0.05;
   config.jitter_mean = 1e-9;
-  Network net(&sim, 1, 1, config, Rng(23));
-  net.transport().inject_latency_burst(10.0, sim.now(), 5.0);
-  double first = -1.0;
-  net.send(0, 0, Network::Direction::kToServer, [&] { first = sim.now(); });
-  sim.run();
-  EXPECT_NEAR(first, 0.5, 0.01);  // 10x the base latency
-  sim.run_until(6.0);
-  double second = -1.0;
-  net.send(0, 0, Network::Direction::kToServer, [&] { second = sim.now(); });
-  sim.run();
-  EXPECT_NEAR(second - 6.0, 0.05, 0.01);  // burst expired
+  Transport net(1, 1, config, Rng(23));
+  net.inject_latency_burst(10.0, 0.0, 5.0);
+  const Transport::Delivery first = net.attempt(0, 0, 0.0);
+  ASSERT_TRUE(first.delivered);
+  EXPECT_NEAR(first.latency, 0.5, 0.01);  // 10x the base latency
+  const Transport::Delivery second = net.attempt(0, 0, 6.0);
+  ASSERT_TRUE(second.delivered);
+  EXPECT_NEAR(second.latency, 0.05, 0.01);  // burst expired
 }
 
 TEST(Faults, LossBurstDropsDeliverableMessages) {
-  Simulator sim;
-  Network net(&sim, 1, 1, reliable_network(), Rng(29));
-  net.transport().inject_loss_burst(1.0, sim.now(), 5.0);
-  bool delivered = false;
-  net.send(0, 0, Network::Direction::kToServer, [&] { delivered = true; });
-  sim.run();
-  EXPECT_FALSE(delivered);
+  Transport net(1, 1, reliable_network(), Rng(29));
+  net.inject_loss_burst(1.0, 0.0, 5.0);
+  EXPECT_FALSE(net.attempt(0, 0, 0.0).delivered);
   EXPECT_EQ(net.messages_dropped(), 1u);
-  sim.run_until(6.0);
-  net.send(0, 0, Network::Direction::kToServer, [&] { delivered = true; });
-  sim.run();
-  EXPECT_TRUE(delivered);
+  EXPECT_TRUE(net.attempt(0, 0, 6.0).delivered);
   EXPECT_EQ(net.messages_delivered(), 1u);
 }
 
@@ -206,19 +188,44 @@ TEST(Faults, PlanValidateRejectsBadEvents) {
 }
 
 TEST(Faults, InstallPlanFiresAtAbsoluteTimes) {
-  Simulator sim;
-  Network net(&sim, 1, 2, reliable_network(), Rng(31));
-  std::vector<Replica> servers;
-  servers.emplace_back(0, reliable_server(), Rng(32));
-  servers.emplace_back(1, reliable_server(), Rng(33));
-  FaultPlan plan;
-  plan.crash(10.0, 0, 5.0);
-  install_fault_plan(plan, &sim, &net, &servers);
-  sim.run_until(11.0);
-  EXPECT_FALSE(servers[0].up(sim.now()));
-  EXPECT_TRUE(servers[1].up(sim.now()));
-  sim.run_until(16.0);
-  EXPECT_TRUE(servers[0].up(sim.now()));
+  // A plan in the config fires at each event's absolute time: server 0,
+  // which every OPT_d op probes first, misses probes exactly while the
+  // plan holds it down, and no other server ever misses one.
+  const obs::TelemetryConfig saved = obs::current_config();
+  obs::TelemetryConfig tc = saved;
+  tc.recorder = true;
+  obs::configure(tc);
+  obs::reset_flight_recorder();
+  RegisterExperimentConfig config;
+  config.num_clients = 2;
+  config.duration = 30.0;
+  config.think_time = 0.2;
+  config.network = reliable_network();
+  config.server = reliable_server();
+  config.plan.crash(10.0, 0, 5.0);
+  const OptDFamily family(4, 1);
+  const RegisterExperimentResult result =
+      run_register_experiment(family, config);
+  const std::vector<obs::FlightEvent> events = obs::collect_flight_events();
+  obs::configure(saved);
+  obs::reset_flight_recorder();
+
+  EXPECT_GT(result.server_dropped_requests, 0u);
+  int misses = 0, served_after = 0;
+  for (const obs::FlightEvent& e : events) {
+    if (e.kind == obs::FlightKind::kProbeMiss) {
+      ++misses;
+      EXPECT_EQ(e.replica, 0);
+      // Sent inside the window, or just before it and dropped on arrival.
+      EXPECT_GE(e.time_us, 9'500'000u);
+      EXPECT_LT(e.time_us, 15'000'000u);
+    }
+    if (e.kind == obs::FlightKind::kProbe && e.replica == 0 &&
+        e.time_us >= 15'000'000u)
+      ++served_after;
+  }
+  EXPECT_GT(misses, 0);
+  EXPECT_GT(served_after, 0);  // the crash window lapsed
 }
 
 // ---- Byzantine lie windows ----
@@ -330,7 +337,7 @@ RegisterExperimentConfig lossy_world() {
   // Long severe loss bursts: many acquisitions fail on first attempt.
   FaultPlan plan;
   for (double t = 10.0; t < 240.0; t += 20.0) plan.loss_burst(t, 0.6, 10.0);
-  config.fault_hook = fault_hook(std::move(plan));
+  config.plan = std::move(plan);
   config.seed = 77;
   return config;
 }
@@ -356,7 +363,7 @@ TEST(Faults, OpDeadlineBoundsLatencyAndReportsFailure) {
   // timeout, so an unbounded OPT_d scan over 12 servers takes ~3 s. A 1 s
   // deadline must cut the operation off and mark it.
   Simulator sim;
-  Network net(&sim, 1, 12, reliable_network(), Rng(41));
+  Transport net(1, 12, reliable_network(), Rng(41));
   std::vector<Replica> servers;
   for (int i = 0; i < 12; ++i) {
     servers.emplace_back(i, reliable_server(),
@@ -388,7 +395,7 @@ TEST(Faults, AdaptiveTimeoutLearnsFromReplies) {
   NetworkConfig net_config = reliable_network();
   net_config.base_latency = 0.02;
   net_config.jitter_mean = 0.005;
-  Network net(&sim, 1, 8, net_config, Rng(47));
+  Transport net(1, 8, net_config, Rng(47));
   std::vector<Replica> servers;
   for (int i = 0; i < 8; ++i)
     servers.emplace_back(i, reliable_server(),
@@ -463,7 +470,7 @@ RegisterExperimentConfig chaos_like_world() {
   FaultPlan plan = make_churn_plan(8, 10.0, 25.0, 2, 8.0, 140.0);
   for (double t = 15.0; t < 140.0; t += 40.0) plan.loss_burst(t, 0.3, 6.0);
   plan.latency_burst(60.0, 5.0, 10.0);
-  config.fault_hook = fault_hook(std::move(plan));
+  config.plan = std::move(plan);
   config.seed = 4242;
   return config;
 }

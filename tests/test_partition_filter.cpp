@@ -2,65 +2,59 @@
 
 #include "core/constructions.h"
 #include "sim/harness.h"
-#include "sim/network.h"
+#include "sim/transport.h"
 
 namespace sqs {
 namespace {
 
 TEST(PartialPartition, BlocksTheChosenFractionOfLinks) {
-  Simulator sim;
   NetworkConfig config;
   config.link_mean_down = 1e-9;
   config.link_mean_up = 1e9;
-  Network net(&sim, 1, 400, config, Rng(3));
-  net.transport().partition_client_partial(0, 0.5, sim.now(), 10.0);
-  EXPECT_TRUE(net.client_partition_active(0));
-  EXPECT_DOUBLE_EQ(net.client_partition_fraction(0), 0.5);
+  Transport net(1, 400, config, Rng(3));
+  net.partition_client_partial(0, 0.5, 0.0, 10.0);
+  EXPECT_TRUE(net.client_partition_active(0, 0.0));
+  EXPECT_DOUBLE_EQ(net.client_partition_fraction(0, 0.0), 0.5);
   int blocked = 0;
   for (int s = 0; s < 400; ++s)
-    if (!net.link_up(0, s)) ++blocked;
+    if (!net.link_up(0, s, 0.0)) ++blocked;
   EXPECT_NEAR(blocked, 200, 45);
   // Expires.
-  sim.run_until(11.0);
-  EXPECT_FALSE(net.client_partition_active(0));
-  for (int s = 0; s < 400; ++s) EXPECT_TRUE(net.link_up(0, s));
+  EXPECT_FALSE(net.client_partition_active(0, 11.0));
+  for (int s = 0; s < 400; ++s) EXPECT_TRUE(net.link_up(0, s, 11.0));
 }
 
 TEST(PartialPartition, FractionZeroBlocksNoLinks) {
-  Simulator sim;
   NetworkConfig config;
   config.link_mean_down = 1e-9;
   config.link_mean_up = 1e9;
-  Network net(&sim, 1, 400, config, Rng(7));
-  net.transport().partition_client_partial(0, 0.0, sim.now(), 10.0);
+  Transport net(1, 400, config, Rng(7));
+  net.partition_client_partial(0, 0.0, 0.0, 10.0);
   // The partition window is active (the filter can still see it) but the
   // degenerate fraction leaves every link up.
-  EXPECT_TRUE(net.client_partition_active(0));
-  EXPECT_DOUBLE_EQ(net.client_partition_fraction(0), 0.0);
-  for (int s = 0; s < 400; ++s) EXPECT_TRUE(net.link_up(0, s));
+  EXPECT_TRUE(net.client_partition_active(0, 0.0));
+  EXPECT_DOUBLE_EQ(net.client_partition_fraction(0, 0.0), 0.0);
+  for (int s = 0; s < 400; ++s) EXPECT_TRUE(net.link_up(0, s, 0.0));
 }
 
 TEST(PartialPartition, FractionOneBlocksEveryLink) {
-  Simulator sim;
   NetworkConfig config;
   config.link_mean_down = 1e-9;
   config.link_mean_up = 1e9;
-  Network net(&sim, 1, 400, config, Rng(9));
-  net.transport().partition_client_partial(0, 1.0, sim.now(), 10.0);
-  EXPECT_TRUE(net.client_partition_active(0));
-  EXPECT_DOUBLE_EQ(net.client_partition_fraction(0), 1.0);
-  for (int s = 0; s < 400; ++s) EXPECT_FALSE(net.link_up(0, s));
-  sim.run_until(11.0);
-  for (int s = 0; s < 400; ++s) EXPECT_TRUE(net.link_up(0, s));
+  Transport net(1, 400, config, Rng(9));
+  net.partition_client_partial(0, 1.0, 0.0, 10.0);
+  EXPECT_TRUE(net.client_partition_active(0, 0.0));
+  EXPECT_DOUBLE_EQ(net.client_partition_fraction(0, 0.0), 1.0);
+  for (int s = 0; s < 400; ++s) EXPECT_FALSE(net.link_up(0, s, 0.0));
+  for (int s = 0; s < 400; ++s) EXPECT_TRUE(net.link_up(0, s, 11.0));
 }
 
 TEST(PartialPartition, FullPartitionReportsFractionOne) {
-  Simulator sim;
-  Network net(&sim, 2, 4, NetworkConfig{}, Rng(5));
-  net.transport().partition_client(1, sim.now(), 5.0);
-  EXPECT_TRUE(net.client_partition_active(1));
-  EXPECT_DOUBLE_EQ(net.client_partition_fraction(1), 1.0);
-  EXPECT_FALSE(net.client_partition_active(0));
+  Transport net(2, 4, NetworkConfig{}, Rng(5));
+  net.partition_client(1, 0.0, 5.0);
+  EXPECT_TRUE(net.client_partition_active(1, 0.0));
+  EXPECT_DOUBLE_EQ(net.client_partition_fraction(1, 0.0), 1.0);
+  EXPECT_FALSE(net.client_partition_active(0, 0.0));
 }
 
 RegisterExperimentConfig partitioned_world() {

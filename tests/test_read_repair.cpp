@@ -56,7 +56,7 @@ TEST(ReadRepair, PropagatesValuesToStaleReplicas) {
   NetworkConfig net_config;
   net_config.link_mean_down = 1e-9;
   net_config.link_mean_up = 1e9;
-  Network net(&sim, 1, 3, net_config, Rng(1));
+  Transport net(1, 3, net_config, Rng(1));
   ServerConfig server_config;
   server_config.mean_down = 1e-9;
   server_config.mean_up = 1e9;

@@ -6,10 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/constructions.h"
 #include "core/masking.h"
 #include "faults/fault_plan.h"
 #include "obs/telemetry.h"
@@ -175,25 +176,7 @@ TEST(ReplicaCounts, HarnessPublishesEachRunsFleetCounts) {
   config.client.lie_tolerance = family.masking_b();
   config.seed = 11;
 
-  // The hook applies the lie plan and snapshots each replicate's fleet
-  // after its last op (no op starts after `duration`; the run drains until
-  // duration + 60).
-  std::mutex mu;
-  ReplicaCounts fleet;
-  const auto plan_hook = fault_hook(make_byzantine_plan(9, 1, 10.0, 80.0));
-  const double snapshot_at = config.duration + 59.0;
-  config.fault_hook = [&mu, &fleet, plan_hook, snapshot_at](
-                          Simulator& sim, Network& net,
-                          std::vector<Replica>& servers) {
-    plan_hook(sim, net, servers);
-    sim.schedule(snapshot_at, [&mu, &fleet, &servers] {
-      const ReplicaCounts c = fleet_counts(servers);
-      std::lock_guard<std::mutex> lock(mu);
-      fleet.dropped_requests += c.dropped_requests;
-      fleet.ts_regressions += c.ts_regressions;
-      fleet.lies_told += c.lies_told;
-    });
-  };
+  config.plan = make_byzantine_plan(9, 1, 10.0, 80.0);
 
   const CounterReading before = read_counters("sim.server");
   TrialOptions opts;
@@ -202,19 +185,52 @@ TEST(ReplicaCounts, HarnessPublishesEachRunsFleetCounts) {
       run_register_experiment_replicated(family, config, 3, opts);
   const CounterReading after = read_counters("sim.server");
 
+  // Each replicate's result carries its fleet's end-of-run counts.
+  ReplicaCounts fleet;
+  for (const RegisterExperimentResult& r : runs.results) {
+    fleet.dropped_requests += r.server_dropped_requests;
+    fleet.ts_regressions += static_cast<std::uint64_t>(r.server_ts_regressions);
+    fleet.lies_told += r.lies_told;
+  }
   ASSERT_GT(fleet.dropped_requests, 0u);
   ASSERT_GT(fleet.ts_regressions, 0u);
   ASSERT_GT(fleet.lies_told, 0u);
   EXPECT_EQ(after.dropped - before.dropped, fleet.dropped_requests);
   EXPECT_EQ(after.regressions - before.regressions, fleet.ts_regressions);
   EXPECT_EQ(after.lies - before.lies, fleet.lies_told);
-  std::uint64_t dropped = 0, regressions = 0;
+}
+
+TEST(ReplicaCounts, HarnessPublishesEachRunsTransportTotals) {
+  MetricsScope metrics;
+  const OptDFamily family(9, 2);
+  RegisterExperimentConfig config;
+  config.num_clients = 4;
+  config.duration = 120.0;
+  config.think_time = 0.3;
+  config.network.link_mean_up = 10.0;  // flaky links: drops as well
+  config.seed = 12;
+  const auto read_net = [] {
+    const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
+    return std::make_pair(snap.counter("sim.net.delivered"),
+                          snap.counter("sim.net.dropped"));
+  };
+
+  const auto before = read_net();
+  TrialOptions opts;
+  opts.threads = 2;
+  const ReplicatedRegisterResult runs =
+      run_register_experiment_replicated(family, config, 3, opts);
+  const auto after = read_net();
+
+  std::uint64_t delivered = 0, dropped = 0;
   for (const RegisterExperimentResult& r : runs.results) {
-    dropped += r.server_dropped_requests;
-    regressions += static_cast<std::uint64_t>(r.server_ts_regressions);
+    delivered += r.net_delivered;
+    dropped += r.net_dropped;
   }
-  EXPECT_EQ(dropped, fleet.dropped_requests);
-  EXPECT_EQ(regressions, fleet.ts_regressions);
+  ASSERT_GT(delivered, 0u);
+  ASSERT_GT(dropped, 0u);
+  EXPECT_EQ(after.first - before.first, delivered);
+  EXPECT_EQ(after.second - before.second, dropped);
 }
 
 TEST(ReplicaCounts, ServePublishesEachCallsDelta) {

@@ -425,7 +425,7 @@ TEST(DriverDifferential, SimClientAndServiceRunnerDecideAndProbeAlike) {
 
   // The simulator: one client, one read, then one write.
   Simulator sim;
-  Network net(&sim, 1, 12, steady_network(), Rng(3));
+  Transport net(1, 12, steady_network(), Rng(3));
   std::vector<Replica> servers;
   for (int i = 0; i < 12; ++i)
     servers.emplace_back(i, steady_server(),

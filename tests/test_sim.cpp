@@ -1,14 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/composition.h"
 #include "core/constructions.h"
 #include "sim/harness.h"
-#include "sim/network.h"
 #include "sim/server.h"
 #include "sim/simulator.h"
+#include "sim/transport.h"
 #include "uqs/majority.h"
 
 namespace sqs {
@@ -16,23 +17,56 @@ namespace {
 
 // ---- event loop ----
 
+// Records every event it is handed, with the clock at dispatch; an optional
+// hook lets an event schedule more.
+struct RecordingSink final : SimSink {
+  explicit RecordingSink(Simulator* sim) : sim(sim) {}
+  void on_event(const SimEvent& ev) override {
+    seen.push_back(ev);
+    at.push_back(sim->now());
+    if (on_seen) on_seen(ev);
+  }
+  // Schedules an event carrying `value` after `delay`.
+  void schedule(double delay, std::uint64_t value) {
+    sim->schedule(delay, {.target = this, .value = value});
+  }
+  std::vector<std::uint64_t> values() const {
+    std::vector<std::uint64_t> out;
+    for (const SimEvent& ev : seen) out.push_back(ev.value);
+    return out;
+  }
+
+  Simulator* sim;
+  std::vector<SimEvent> seen;
+  std::vector<double> at;
+  std::function<void(const SimEvent&)> on_seen;
+};
+
 TEST(Simulator, RunsEventsInTimeOrder) {
   Simulator sim;
-  std::vector<int> order;
-  sim.schedule(2.0, [&] { order.push_back(2); });
-  sim.schedule(1.0, [&] { order.push_back(1); });
-  sim.schedule(3.0, [&] { order.push_back(3); });
+  RecordingSink sink(&sim);
+  sink.schedule(2.0, 2);
+  sink.schedule(1.0, 1);
+  sink.schedule(3.0, 3);
   sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sink.values(), (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(sink.at, (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+  // The simulator stamps each event with its time, its scheduling time and
+  // its sequence number, and delivers the payload untouched.
+  EXPECT_DOUBLE_EQ(sink.seen[0].time, 1.0);
+  EXPECT_DOUBLE_EQ(sink.seen[0].sched_at, 0.0);
+  EXPECT_EQ(sink.seen[0].seq, 1u);
+  EXPECT_EQ(sink.seen[0].target, &sink);
 }
 
 TEST(Simulator, EventLoopObservabilityCounters) {
   Simulator sim;
+  RecordingSink sink(&sim);
   EXPECT_EQ(sim.scheduled_events(), 0u);
   EXPECT_EQ(sim.executed_events(), 0u);
   EXPECT_EQ(sim.peak_pending_events(), 0u);
-  for (int i = 0; i < 4; ++i) sim.schedule(1.0 + i, [] {});
+  for (int i = 0; i < 4; ++i) sink.schedule(1.0 + i, 0);
   EXPECT_EQ(sim.scheduled_events(), 4u);
   EXPECT_EQ(sim.peak_pending_events(), 4u);  // all queued before any ran
   sim.run_until(2.5);
@@ -45,41 +79,42 @@ TEST(Simulator, EventLoopObservabilityCounters) {
 
 TEST(Simulator, EqualTimestampsRunFifo) {
   Simulator sim;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i)
-    sim.schedule(1.0, [&order, i] { order.push_back(i); });
+  RecordingSink sink(&sim);
+  for (std::uint64_t i = 0; i < 5; ++i) sink.schedule(1.0, i);
   sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sink.values(), (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(Simulator, NestedSchedulingAndDeadline) {
   Simulator sim;
-  int fired = 0;
-  sim.schedule(1.0, [&] {
-    ++fired;
-    sim.schedule(1.0, [&] { ++fired; });       // t=2, within deadline
-    sim.schedule(10.0, [&] { fired += 100; }); // t=11, beyond deadline
-  });
+  RecordingSink sink(&sim);
+  sink.on_seen = [&sink](const SimEvent& ev) {
+    if (ev.value != 1) return;
+    sink.schedule(1.0, 2);     // t=2, within deadline
+    sink.schedule(10.0, 100);  // t=11, beyond deadline
+  };
+  sink.schedule(1.0, 1);
   sim.run_until(5.0);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sink.values(), (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_DOUBLE_EQ(sink.seen[1].sched_at, 1.0);
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
   EXPECT_EQ(sim.pending_events(), 1u);
 }
 
-// ---- network ----
+// ---- network (the Transport at explicit times) ----
 
 TEST(Network, StationaryLinkDownRate) {
-  Simulator sim;
   NetworkConfig config;
   config.link_mean_up = 9.0;
   config.link_mean_down = 1.0;  // stationary down = 0.1
-  Network net(&sim, 1, 200, config, Rng(3));
+  Transport net(1, 200, config, Rng(3));
   // Sample link states across time.
   int down = 0, samples = 0;
+  double now = 0.0;
   for (int step = 0; step < 50; ++step) {
-    sim.run_until(sim.now() + 5.0);
+    now += 5.0;
     for (int s = 0; s < 200; ++s) {
-      if (!net.link_up(0, s)) ++down;
+      if (!net.link_up(0, s, now)) ++down;
       ++samples;
     }
   }
@@ -87,53 +122,42 @@ TEST(Network, StationaryLinkDownRate) {
 }
 
 TEST(Network, DeliversWithLatencyWhenUp) {
-  Simulator sim;
   NetworkConfig config;
   config.link_mean_down = 1e-9;  // effectively never down
   config.link_mean_up = 1e9;
   config.base_latency = 0.05;
-  Network net(&sim, 1, 1, config, Rng(5));
-  bool delivered = false;
-  double at = 0.0;
-  net.send(0, 0, Network::Direction::kToServer, [&] {
-    delivered = true;
-    at = sim.now();
-  });
-  sim.run();
-  EXPECT_TRUE(delivered);
-  EXPECT_GE(at, 0.05);
+  Transport net(1, 1, config, Rng(5));
+  const Transport::Delivery d = net.attempt(0, 0, 0.0);
+  EXPECT_TRUE(d.delivered);
+  EXPECT_GE(d.latency, 0.05);
+  EXPECT_EQ(net.messages_delivered(), 1u);
 }
 
 TEST(Network, PartitionedClientLosesAllLinks) {
-  Simulator sim;
   NetworkConfig config;
   config.link_mean_down = 1e-9;
   config.link_mean_up = 1e9;
-  Network net(&sim, 2, 4, config, Rng(7));
-  net.transport().partition_client(0, sim.now(), 10.0);
+  Transport net(2, 4, config, Rng(7));
+  net.partition_client(0, 0.0, 10.0);
   for (int s = 0; s < 4; ++s) {
-    EXPECT_FALSE(net.link_up(0, s));
-    EXPECT_TRUE(net.link_up(1, s));
+    EXPECT_FALSE(net.link_up(0, s, 0.0));
+    EXPECT_TRUE(net.link_up(1, s, 0.0));
   }
-  bool delivered = false;
-  net.send(0, 1, Network::Direction::kToServer, [&] { delivered = true; });
-  sim.run();
-  EXPECT_FALSE(delivered);
+  EXPECT_FALSE(net.attempt(0, 1, 0.0).delivered);
+  EXPECT_EQ(net.messages_dropped(), 1u);
 }
 
 TEST(Network, BlockLinkIsPerPairAndExpires) {
-  Simulator sim;
   NetworkConfig config;
   config.link_mean_down = 1e-9;
   config.link_mean_up = 1e9;
-  Network net(&sim, 2, 3, config, Rng(9));
-  net.transport().block_link(0, 1, sim.now(), 5.0);
-  EXPECT_TRUE(net.link_up(0, 0));
-  EXPECT_FALSE(net.link_up(0, 1));
-  EXPECT_TRUE(net.link_up(0, 2));
-  EXPECT_TRUE(net.link_up(1, 1));  // other client unaffected
-  sim.run_until(6.0);
-  EXPECT_TRUE(net.link_up(0, 1));
+  Transport net(2, 3, config, Rng(9));
+  net.block_link(0, 1, 0.0, 5.0);
+  EXPECT_TRUE(net.link_up(0, 0, 0.0));
+  EXPECT_FALSE(net.link_up(0, 1, 0.0));
+  EXPECT_TRUE(net.link_up(0, 2, 0.0));
+  EXPECT_TRUE(net.link_up(1, 1, 0.0));  // other client unaffected
+  EXPECT_TRUE(net.link_up(0, 1, 6.0));
 }
 
 // ---- servers ----

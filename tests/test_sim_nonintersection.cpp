@@ -34,7 +34,7 @@ TwoClientSimResult run_two_client_sim(int n, int alpha, double link_down,
   // down link look like a crisp mismatch.
   net_config.link_mean_down = 1.0;
   net_config.link_mean_up = (1.0 - link_down) / link_down;
-  Network net(&sim, 2, n, net_config, rng.split("net"));
+  Transport net(2, n, net_config, rng.split("net"));
   ServerConfig server_config;
   server_config.mean_down = 1e-9;  // isolate link-induced mismatches
   server_config.mean_up = 1e9;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace sqs {
 namespace {
 
@@ -45,6 +47,36 @@ TEST(Store, RotationFlattensAggregateLoad) {
   // Per-object behaviour is unchanged: same probes, same availability.
   EXPECT_NEAR(rotated.probes_per_op.mean(), shared.probes_per_op.mean(), 0.05);
   EXPECT_DOUBLE_EQ(rotated.availability(), shared.availability());
+}
+
+TEST(Store, RejectsInvalidConfig) {
+  // Each bad field alone rejects the run with an empty result, before any
+  // world is built (no objects used to mean a family-less client: UB).
+  const auto rejected = [](void (*spoil)(StoreExperimentConfig&)) {
+    StoreExperimentConfig config = reliable_store();
+    spoil(config);
+    testing::internal::CaptureStderr();
+    const bool valid = config.validate();
+    const StoreExperimentResult result = run_store_experiment(config);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("invalid"), std::string::npos);
+    return !valid && result.ops_attempted == 0 &&
+           result.server_probe_fraction.empty();
+  };
+  EXPECT_TRUE(rejected([](StoreExperimentConfig& c) { c.num_objects = 0; }));
+  EXPECT_TRUE(rejected([](StoreExperimentConfig& c) { c.num_servers = 0; }));
+  EXPECT_TRUE(rejected([](StoreExperimentConfig& c) { c.num_clients = 0; }));
+  EXPECT_TRUE(rejected([](StoreExperimentConfig& c) { c.duration = 0.0; }));
+  EXPECT_TRUE(rejected([](StoreExperimentConfig& c) { c.think_time = -1.0; }));
+  EXPECT_TRUE(
+      rejected([](StoreExperimentConfig& c) { c.read_fraction = 1.5; }));
+  EXPECT_TRUE(
+      rejected([](StoreExperimentConfig& c) { c.network.jitter_mean = 0.0; }));
+  EXPECT_TRUE(
+      rejected([](StoreExperimentConfig& c) { c.server.mean_up = -1.0; }));
+  EXPECT_TRUE(
+      rejected([](StoreExperimentConfig& c) { c.client.max_attempts = 0; }));
+  EXPECT_TRUE(reliable_store().validate());
 }
 
 TEST(Store, ObjectsAreIsolated) {
