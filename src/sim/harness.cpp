@@ -36,8 +36,9 @@ void count_fault(FaultEvent::Kind kind) {
   static_assert(static_cast<int>(FaultEvent::Kind::kLieWrongValue) == 8);
   static const std::array<obs::Counter, 10> counters = [] {
     static const char* const kNames[] = {
-        "injected",         "crash",         "pin",        "gray", "link_down",
-        "client_partition", "server_partition", "latency_burst", "loss_burst",
+        "injected",         "crash",      "pin",
+        "gray",             "link_down",  "client_partition",
+        "server_partition", "latency_burst", "loss_burst",
         "lie"};
     std::array<obs::Counter, 10> out;
     for (std::size_t i = 0; i < out.size(); ++i)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/constructions.h"
@@ -455,6 +456,16 @@ TEST(Faults, InvalidExperimentConfigYieldsEmptyResult) {
   EXPECT_EQ(result.reads_attempted, 0);
   EXPECT_EQ(result.writes_attempted, 0);
   EXPECT_EQ(result.events_executed, 0u);
+
+  // A plan naming a server outside the fleet rejects the run too.
+  testing::internal::CaptureStderr();
+  RegisterExperimentConfig bad_plan;
+  bad_plan.plan.crash(1.0, /*server=*/8, 1.0);
+  const auto rejected = run_register_experiment(family, bad_plan);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                "server index out of range"),
+            std::string::npos);
+  EXPECT_EQ(rejected.events_executed, 0u);
 }
 
 // ---- determinism (acceptance criterion) ----
