@@ -103,6 +103,8 @@ bool StoreExperimentConfig::validate() const {
   if (num_servers < 1) reject("num_servers", num_servers);
   if (num_objects < 1) reject("num_objects", num_objects);
   if (num_clients < 1) reject("num_clients", num_clients);
+  // OPT_d(n, alpha) needs alpha >= 1 and n >= 3 alpha - 1.
+  if (alpha < 1 || num_servers < 3 * alpha - 1) reject("alpha", alpha);
   if (!(duration > 0.0)) reject("duration", duration);
   if (!(think_time > 0.0)) reject("think_time", think_time);
   if (!(read_fraction >= 0.0 && read_fraction <= 1.0))

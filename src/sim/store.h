@@ -34,9 +34,9 @@ struct StoreExperimentConfig {
   ClientConfig client;
   std::uint64_t seed = 1;
 
-  // True iff the world is non-empty and every duration/fraction is usable
-  // (delegates to the network/server/client validators); complaints go to
-  // stderr.
+  // True iff the world is non-empty, OPT_d(num_servers, alpha) exists and
+  // every duration/fraction is usable (delegates to the network/server/
+  // client validators); complaints go to stderr.
   bool validate() const;
 };
 

@@ -66,6 +66,8 @@ TEST(Store, RejectsInvalidConfig) {
   EXPECT_TRUE(rejected([](StoreExperimentConfig& c) { c.num_objects = 0; }));
   EXPECT_TRUE(rejected([](StoreExperimentConfig& c) { c.num_servers = 0; }));
   EXPECT_TRUE(rejected([](StoreExperimentConfig& c) { c.num_clients = 0; }));
+  EXPECT_TRUE(rejected([](StoreExperimentConfig& c) { c.alpha = 0; }));
+  EXPECT_TRUE(rejected([](StoreExperimentConfig& c) { c.alpha = 8; }));
   EXPECT_TRUE(rejected([](StoreExperimentConfig& c) { c.duration = 0.0; }));
   EXPECT_TRUE(rejected([](StoreExperimentConfig& c) { c.think_time = -1.0; }));
   EXPECT_TRUE(
