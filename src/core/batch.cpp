@@ -10,24 +10,6 @@
 
 namespace sqs {
 
-void WorldBatch::load_rows(std::size_t w, const std::uint64_t* rows,
-                           std::size_t count) {
-  assert(w < lane_words_);
-  assert(count <= kBatchLaneBits);
-  const std::size_t row_words = batch_row_words(n_);
-  std::uint64_t* col = lanes(w);
-  std::uint64_t block[64];
-  for (std::size_t rw = 0; rw < row_words; ++rw) {
-    for (std::size_t r = 0; r < kBatchLaneBits; ++r)
-      block[r] = r < count ? rows[r * row_words + rw] : 0;
-    transpose_64x64(block);
-    const std::size_t base = rw * kBatchLaneBits;
-    const std::size_t lim =
-        std::min<std::size_t>(kBatchLaneBits, static_cast<std::size_t>(n_) - base);
-    for (std::size_t c = 0; c < lim; ++c) col[base + c] = block[c];
-  }
-}
-
 void WorldBatch::extract_trial(std::uint64_t t, Configuration& out) const {
   assert(t < trials_);
   out.reshape(n_);
@@ -38,27 +20,15 @@ void WorldBatch::extract_trial(std::uint64_t t, Configuration& out) const {
 }
 
 void sample_worlds_into(int n, double p, std::uint64_t num_trials, Rng& rng,
-                        WorkerScratch& scratch, WorldBatch& out) {
+                        WorkerScratch&, WorldBatch& out) {
   out.reshape(n, num_trials);
-  const std::size_t row_words = batch_row_words(n);
-  Borrowed<std::vector<std::uint64_t>> staging =
-      scratch.borrow<std::vector<std::uint64_t>>();
-  std::vector<std::uint64_t>& rows = *staging;
-  std::uint64_t t = 0;
-  for (std::size_t w = 0; t < num_trials; ++w) {
-    const std::uint64_t block =
-        std::min<std::uint64_t>(kBatchLaneBits, num_trials - t);
-    rows.assign(kBatchLaneBits * row_words, 0);
-    for (std::uint64_t r = 0; r < block; ++r) {
-      std::uint64_t* row = rows.data() + r * row_words;
-      // The scalar draw order, verbatim: up iff the failure draw missed.
-      for (int s = 0; s < n; ++s)
-        if (!rng.bernoulli(p))
-          row[static_cast<std::size_t>(s) / kBatchLaneBits] |=
-              1ull << (static_cast<std::size_t>(s) % kBatchLaneBits);
-    }
-    out.load_rows(w, rows.data(), static_cast<std::size_t>(block));
-    t += block;
+  for (std::uint64_t t = 0; t < num_trials; ++t) {
+    std::uint64_t* col =
+        out.lanes(static_cast<std::size_t>(t / kBatchLaneBits));
+    const std::uint64_t bit = 1ull << (t % kBatchLaneBits);
+    // The scalar draw order, verbatim: up iff the failure draw missed.
+    for (int s = 0; s < n; ++s)
+      if (!rng.bernoulli(p)) col[s] |= bit;
   }
 }
 

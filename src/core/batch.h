@@ -11,10 +11,11 @@
 // approximations. The contract that makes that hold:
 //
 //   * Sampling draws the chunk rng in EXACTLY the scalar order (trial-major,
-//     server-minor) into per-trial row masks, then flips rows into columns
-//     with a 64x64 bit transpose. The rng stream consumed by
-//     BatchPolicy::kScalar, kBatched, and kDifferential is identical, so
-//     estimates stay bit-identical at any thread count and batch width.
+//     server-minor) and sets each draw's bit straight into its lane word:
+//     trial t, server s is bit (t mod 64) of lanes(t/64)[s]. The rng stream
+//     consumed by BatchPolicy::kScalar, kBatched, and kDifferential is
+//     identical, so estimates stay bit-identical at any thread count and
+//     batch width.
 //   * accepts_batch(worlds, out) must satisfy out[t] == accepts(world t)
 //     for every trial. BatchPolicy::kDifferential re-runs the scalar oracle
 //     per trial and throws std::runtime_error on the first disagreement.
@@ -38,15 +39,10 @@ struct TrialContext;
 // Number of trials packed per lane word.
 inline constexpr std::uint64_t kBatchLaneBits = 64;
 
-// Row words needed to hold one trial's n server bits.
-inline std::size_t batch_row_words(int n) {
-  return (static_cast<std::size_t>(n) + kBatchLaneBits - 1) / kBatchLaneBits;
-}
-
 // T trials x n servers of one bit each, stored lane-word-major: the n
 // column words of trial-word w are contiguous (`lanes(w)[s]`), which is the
-// access pattern of every batch kernel (ladder adds, frontier BFS, and the
-// row<->column transposes).
+// access pattern of every batch kernel (ladder adds, frontier BFS) and of
+// the samplers, which fill one trial's bits across those n words.
 class WorldBatch {
  public:
   WorldBatch() = default;
@@ -95,16 +91,9 @@ class WorldBatch {
         1ull << (trial % kBatchLaneBits);
   }
 
-  // Loads up to 64 trial rows into lane word `w` via 64x64 block
-  // transposes. `rows` is row-major scalar-draw-order staging:
-  // rows[r * batch_row_words(n) + rw] holds servers [rw*64, rw*64+64) of
-  // trial w*64+r. Rows beyond `count` are treated as absent (their lanes
-  // stay clear) — the ragged-tail case.
-  void load_rows(std::size_t w, const std::uint64_t* rows, std::size_t count);
-
-  // Writes trial t's row back into a Configuration (up = bit set): the
-  // inverse transpose the differential oracle and the default
-  // accepts_batch fallback use.
+  // Writes trial t's bits back into a Configuration (up = bit set), one
+  // lane bit per server: the per-trial view the differential oracle and
+  // the default accepts_batch fallback use.
   void extract_trial(std::uint64_t t, Configuration& out) const;
 
  private:
@@ -161,6 +150,9 @@ inline int lane_counter_planes(int n) {
 // Fills `out` with num_trials configurations where each server is up with
 // probability 1-p, drawing `rng` in exactly the scalar order of
 // availability_mc_chunk (per trial, per server: up iff !rng.bernoulli(p)).
+// `scratch` is unused (draws go straight into `out`'s lane words); it stays
+// in the signature for the benchmark callers, and a later change to those
+// callers can drop it.
 void sample_worlds_into(int n, double p, std::uint64_t num_trials, Rng& rng,
                         WorkerScratch& scratch, WorldBatch& out);
 

@@ -24,8 +24,9 @@ void availability_mc_chunk(const QuorumFamily& family, double p,
                            const TrialContext& ctx, Rng& rng,
                            std::int64_t& live) {
   if (ctx.batch != BatchPolicy::kScalar) {
-    // Batched / differential: identical rng draw order (sample-then-
-    // transpose), identical live count — see core/batch.h.
+    // Batched / differential: identical rng draw order (each draw set
+    // straight into its lane word), identical live count — see
+    // core/batch.h.
     availability_mc_chunk_batched(family, p, ctx, rng, live);
     return;
   }

@@ -1,6 +1,5 @@
 #include "mismatch/batch.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -13,48 +12,26 @@ namespace sqs {
 
 void sample_two_client_worlds_into(int n, const MismatchModel& model,
                                    std::uint64_t num_trials, Rng& rng,
-                                   WorkerScratch& scratch,
-                                   TwoClientWorldBatch& out) {
+                                   WorkerScratch&, TwoClientWorldBatch& out) {
   out.reach1.reshape(n, num_trials);
   out.reach2.reshape(n, num_trials);
-  const std::size_t row_words = batch_row_words(n);
-  Borrowed<std::vector<std::uint64_t>> staging1 =
-      scratch.borrow<std::vector<std::uint64_t>>();
-  Borrowed<std::vector<std::uint64_t>> staging2 =
-      scratch.borrow<std::vector<std::uint64_t>>();
-  std::vector<std::uint64_t>& rows1 = *staging1;
-  std::vector<std::uint64_t>& rows2 = *staging2;
-  std::uint64_t t = 0;
-  for (std::size_t w = 0; t < num_trials; ++w) {
-    const std::uint64_t block =
-        std::min<std::uint64_t>(kBatchLaneBits, num_trials - t);
-    rows1.assign(kBatchLaneBits * row_words, 0);
-    rows2.assign(kBatchLaneBits * row_words, 0);
-    for (std::uint64_t r = 0; r < block; ++r) {
-      std::uint64_t* row1 = rows1.data() + r * row_words;
-      std::uint64_t* row2 = rows2.data() + r * row_words;
-      // sample_world_into's draw order, verbatim: crash draw, then both
-      // link draws (skipped when the server is down), then the optional
-      // correlated-partition redraw pass over reach2.
-      for (int s = 0; s < n; ++s) {
-        if (rng.bernoulli(model.p)) continue;  // server down: (-,-)
-        const std::size_t rw = static_cast<std::size_t>(s) / kBatchLaneBits;
-        const std::uint64_t bit = 1ull
-                                  << (static_cast<std::size_t>(s) %
-                                      kBatchLaneBits);
-        if (!rng.bernoulli(model.link_miss)) row1[rw] |= bit;
-        if (!rng.bernoulli(model.link_miss)) row2[rw] |= bit;
-      }
-      if (model.partition_rate > 0.0 && rng.bernoulli(model.partition_rate)) {
-        for (int s = 0; s < n; ++s)
-          if (rng.bernoulli(model.partition_fraction))
-            row2[static_cast<std::size_t>(s) / kBatchLaneBits] &=
-                ~(1ull << (static_cast<std::size_t>(s) % kBatchLaneBits));
-      }
+  for (std::uint64_t t = 0; t < num_trials; ++t) {
+    const std::size_t w = static_cast<std::size_t>(t / kBatchLaneBits);
+    std::uint64_t* col1 = out.reach1.lanes(w);
+    std::uint64_t* col2 = out.reach2.lanes(w);
+    const std::uint64_t bit = 1ull << (t % kBatchLaneBits);
+    // sample_world_into's draw order, verbatim: crash draw, then both link
+    // draws (skipped when the server is down), then the optional
+    // correlated-partition redraw pass over reach2.
+    for (int s = 0; s < n; ++s) {
+      if (rng.bernoulli(model.p)) continue;  // server down: (-,-)
+      if (!rng.bernoulli(model.link_miss)) col1[s] |= bit;
+      if (!rng.bernoulli(model.link_miss)) col2[s] |= bit;
     }
-    out.reach1.load_rows(w, rows1.data(), static_cast<std::size_t>(block));
-    out.reach2.load_rows(w, rows2.data(), static_cast<std::size_t>(block));
-    t += block;
+    if (model.partition_rate > 0.0 && rng.bernoulli(model.partition_rate)) {
+      for (int s = 0; s < n; ++s)
+        if (rng.bernoulli(model.partition_fraction)) col2[s] &= ~bit;
+    }
   }
 }
 

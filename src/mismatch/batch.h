@@ -5,7 +5,8 @@
 // reach1/reach2's column s says whether client 1/2 would reach server s in
 // trial t. Sampling consumes the chunk rng in exactly sample_world_into's
 // order (per server: crash draw, then both link draws; then the optional
-// partition redraw pass), so scalar and batched estimates share one stream.
+// partition redraw pass) and sets each draw's bit straight into its lane
+// word, so scalar and batched estimates share one stream.
 
 #pragma once
 
@@ -23,7 +24,9 @@ struct TwoClientWorldBatch {
 };
 
 // Fills `out` with num_trials joint worlds, drawing `rng` bit-for-bit like
-// num_trials successive sample_world_into calls.
+// num_trials successive sample_world_into calls. `scratch` is unused; it
+// stays in the signature for the benchmark callers, and a later change to
+// those callers can drop it.
 void sample_two_client_worlds_into(int n, const MismatchModel& model,
                                    std::uint64_t num_trials, Rng& rng,
                                    WorkerScratch& scratch,

@@ -242,21 +242,4 @@ class Bitset {
   std::vector<std::uint64_t> words_;
 };
 
-// In-place 64x64 bit-matrix transpose (Hacker's Delight 7-3): bit (r, c) of
-// the input — bit c of m[r] — moves to bit (c, r). This is the primitive
-// behind the draw-order-preserving row→column flip of WorldBatch sampling:
-// rows are per-trial server masks drawn in scalar order, columns are the
-// per-server trial lanes the batch kernels consume.
-inline void transpose_64x64(std::uint64_t m[64]) {
-  std::uint64_t mask = 0x00000000ffffffffull;
-  for (std::size_t shift = 32; shift != 0; shift >>= 1) {
-    for (std::size_t r = 0; r < 64; r = (r + shift + 1) & ~shift) {
-      const std::uint64_t t = ((m[r] >> shift) ^ m[r + shift]) & mask;
-      m[r] ^= t << shift;
-      m[r + shift] ^= t;
-    }
-    mask ^= mask << (shift >> 1);
-  }
-}
-
 }  // namespace sqs

@@ -18,6 +18,7 @@
 #include "core/constructions.h"
 #include "core/explicit_sqs.h"
 #include "core/quorum_family.h"
+#include "mismatch/batch.h"
 #include "mismatch/model.h"
 #include "probe/measurements.h"
 #include "runtime/run_trials.h"
@@ -113,55 +114,74 @@ std::int64_t count_live(const QuorumFamily& family, double p,
       [](std::int64_t& total, std::int64_t part) { total += part; }, opts);
 }
 
-TEST(Batch, TransposeContractAndInvolution) {
-  Rng rng(42);
-  std::uint64_t m[64], orig[64];
-  for (auto& w : m) w = rng.next_u64();
-  std::copy(std::begin(m), std::end(m), std::begin(orig));
-  transpose_64x64(m);
-  for (int r = 0; r < 64; ++r)
-    for (int c = 0; c < 64; ++c)
-      ASSERT_EQ((m[c] >> r) & 1u, (orig[r] >> c) & 1u)
-          << "bit (" << r << "," << c << ")";
-  transpose_64x64(m);
-  for (int r = 0; r < 64; ++r) ASSERT_EQ(m[r], orig[r]);
-}
-
 TEST(Batch, WorldBatchRoundTripAtWordBoundaryWidths) {
-  // The widths where the row<->column transpose blocks go ragged: empty,
-  // one short word, exactly one word, one word + 1 bit, two exact words.
+  // The widths where a trial's server bits straddle lane-word boundaries:
+  // empty, one short word, exactly one word, one word + 1 bit, two exact
+  // words. The scalar draw loop is the oracle, and both rngs must end in
+  // the same state.
   for (const int n : {0, 1, 63, 64, 65, 128}) {
     for (const std::uint64_t trials : kRaggedTails) {
-      Rng rng(static_cast<std::uint64_t>(n) * 1000 + trials);
-      const std::size_t row_words = batch_row_words(n);
-      // Reference row staging across all trials, then load word by word.
-      std::vector<std::uint64_t> rows(trials * row_words, 0);
-      for (std::uint64_t t = 0; t < trials; ++t)
-        for (int s = 0; s < n; ++s)
-          if (rng.bernoulli(0.5))
-            rows[t * row_words + static_cast<std::size_t>(s) / 64] |=
-                1ull << (static_cast<std::size_t>(s) % 64);
+      const std::uint64_t seed = static_cast<std::uint64_t>(n) * 1000 + trials;
+      Rng batch_rng(seed);
       WorldBatch batch;
-      batch.reshape(n, trials);
-      for (std::size_t w = 0; w < batch.num_lane_words(); ++w) {
-        const std::uint64_t begin = w * kBatchLaneBits;
-        const std::uint64_t block =
-            std::min<std::uint64_t>(kBatchLaneBits, trials - begin);
-        batch.load_rows(w, rows.data() + begin * row_words,
-                        static_cast<std::size_t>(block));
-      }
+      sample_worlds_into(n, 0.5, trials, batch_rng, WorkerScratch::for_thread(),
+                         batch);
+      ASSERT_EQ(batch.universe_size(), n);
+      ASSERT_EQ(batch.num_trials(), trials);
+      Rng scalar_rng(seed);
       Configuration config(Bitset(static_cast<std::size_t>(n)));
       for (std::uint64_t t = 0; t < trials; ++t) {
         batch.extract_trial(t, config);
         for (int s = 0; s < n; ++s) {
-          const bool expected =
-              (rows[t * row_words + static_cast<std::size_t>(s) / 64] >>
-               (static_cast<std::size_t>(s) % 64)) &
-              1u;
+          const bool expected = !scalar_rng.bernoulli(0.5);
           ASSERT_EQ(batch.test(t, s), expected)
               << "n=" << n << " trial " << t << " server " << s;
           ASSERT_EQ(config.is_up(s), expected);
         }
+      }
+      ASSERT_EQ(batch_rng.next_u64(), scalar_rng.next_u64())
+          << "n=" << n << " trials=" << trials;
+    }
+  }
+}
+
+TEST(Batch, TwoClientSamplerMatchesScalarWorlds) {
+  // The batched two-client sampler against num_trials successive
+  // sample_world_into calls, world by world, across 64-server word
+  // boundaries and with the correlated-partition redraw pass on and off.
+  for (const double partition_rate : {0.0, 0.3}) {
+    MismatchModel model;
+    model.p = 0.2;
+    model.link_miss = 0.3;
+    model.partition_rate = partition_rate;
+    model.partition_fraction = 0.4;
+    for (const int n : {1, 63, 64, 65, 130}) {
+      for (const std::uint64_t trials : kRaggedTails) {
+        const std::uint64_t seed =
+            static_cast<std::uint64_t>(n) * 7919 + trials;
+        Rng batch_rng(seed);
+        TwoClientWorldBatch batch;
+        sample_two_client_worlds_into(n, model, trials, batch_rng,
+                                      WorkerScratch::for_thread(), batch);
+        ASSERT_EQ(batch.reach1.num_trials(), trials);
+        ASSERT_EQ(batch.reach2.num_trials(), trials);
+        Rng scalar_rng(seed);
+        TwoClientWorld world;
+        for (std::uint64_t t = 0; t < trials; ++t) {
+          sample_world_into(n, model, scalar_rng, world);
+          for (int s = 0; s < n; ++s) {
+            const std::size_t i = static_cast<std::size_t>(s);
+            ASSERT_EQ(batch.reach1.test(t, s), world.reach1.test(i))
+                << "reach1 n=" << n << " rate=" << partition_rate
+                << " trial " << t << " server " << s;
+            ASSERT_EQ(batch.reach2.test(t, s), world.reach2.test(i))
+                << "reach2 n=" << n << " rate=" << partition_rate
+                << " trial " << t << " server " << s;
+          }
+        }
+        ASSERT_EQ(batch_rng.next_u64(), scalar_rng.next_u64())
+            << "n=" << n << " rate=" << partition_rate
+            << " trials=" << trials;
       }
     }
   }

@@ -125,7 +125,8 @@ std::vector<OpCase> op_cases() {
   std::vector<OpCase> cases;
   {
     OpCase c{"classic_read_adopts_the_max_timestamp"};
-    c.steps = {{Outcome::kReply, {1, 0}, 10}, {Outcome::kReply, {2, 1}, 20}};
+    c.steps = std::vector<Step>{{Outcome::kReply, {1, 0}, 10},
+                                {Outcome::kReply, {2, 1}, 20}};
     c.probes = 2;
     c.decided = true;
     c.ts = {2, 1};
@@ -135,7 +136,8 @@ std::vector<OpCase> op_cases() {
   }
   {
     OpCase c{"miss_is_negative_evidence"};
-    c.steps = {miss, {Outcome::kReply, {3, 0}, 30}, {Outcome::kReply, {}, 0}};
+    c.steps = std::vector<Step>{miss, {Outcome::kReply, {3, 0}, 30},
+                                {Outcome::kReply, {}, 0}};
     c.probes = 3;
     c.decided = true;
     c.ts = {3, 0};
@@ -147,7 +149,8 @@ std::vector<OpCase> op_cases() {
   {
     OpCase c{"masking_vote_without_b_plus_one_vouchers_fails"};
     c.lie_tolerance = 1;
-    c.steps = {{Outcome::kReply, {9, 2}, 90}, {Outcome::kReply, {1, 0}, 10}};
+    c.steps = std::vector<Step>{{Outcome::kReply, {9, 2}, 90},
+                                {Outcome::kReply, {1, 0}, 10}};
     c.probes = 2;
     c.flights = {{kProbe, 0, kRtt}, {kProbe, 1, kRtt}, {kAcquired, -1, 2}};
     cases.push_back(c);
@@ -156,7 +159,8 @@ std::vector<OpCase> op_cases() {
     OpCase c{"newer_epoch_stamp_on_a_failed_attempt_fetches_the_view"};
     c.with_view = true;
     c.current_epoch = 1;
-    c.steps = {{Outcome::kReply, {1, 0}, 10, /*epoch=*/1}, miss, miss};
+    c.steps = std::vector<Step>{{Outcome::kReply, {1, 0}, 10, /*epoch=*/1},
+                                miss, miss};
     c.probes = 3;
     c.fetch = true;
     c.learn = true;
@@ -168,7 +172,8 @@ std::vector<OpCase> op_cases() {
     OpCase c{"same_epoch_stamp_is_no_evidence"};
     c.with_view = true;
     c.current_epoch = 1;
-    c.steps = {{Outcome::kReply, {1, 0}, 10, /*epoch=*/0}, miss, miss};
+    c.steps = std::vector<Step>{{Outcome::kReply, {1, 0}, 10, /*epoch=*/0},
+                                miss, miss};
     c.probes = 3;
     c.flights = {{kProbe, 5, kRtt}, {kMiss, 6, kSpent}, {kMiss, 7, kSpent},
                  {kFailed, -1, 3}};
@@ -178,7 +183,7 @@ std::vector<OpCase> op_cases() {
     OpCase c{"fence_on_an_acquired_attempt_learns_for_the_next_op"};
     c.with_view = true;
     c.current_epoch = 1;
-    c.steps = {fence, {Outcome::kReply, {2, 0}, 20},
+    c.steps = std::vector<Step>{fence, {Outcome::kReply, {2, 0}, 20},
                {Outcome::kReply, {2, 0}, 20, 0, /*retired=*/true}};
     c.probes = 3;
     c.decided = true;
@@ -196,7 +201,7 @@ std::vector<OpCase> op_cases() {
     c.current_epoch = 1;
     c.max_view_fetches = 1;
     c.earlier_fetches = 1;
-    c.steps = {fence, fence};
+    c.steps = std::vector<Step>{fence, fence};
     c.probes = 2;
     c.learn = true;
     c.flights = {{kRefresh, -1, 1}, {kFenced, 5, 1}, {kFenced, 6, 1},
@@ -208,7 +213,7 @@ std::vector<OpCase> op_cases() {
     c.with_view = true;
     c.current_epoch = 1;
     c.refresh_views = false;
-    c.steps = {fence, fence};
+    c.steps = std::vector<Step>{fence, fence};
     c.probes = 2;
     c.flights = {{kFenced, 5, 1}, {kFenced, 6, 1}, {kFailed, -1, 2}};
     cases.push_back(c);

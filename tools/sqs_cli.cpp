@@ -595,7 +595,7 @@ int cmd_chaos(const Args& args) {
       if (s.invariants.allow_lost_writes) inv += "allow-lost ";
       if (s.invariants.require_view_convergence) inv += "view-conv ";
       if (s.invariants.check_cross_epoch) inv += "cross-epoch ";
-      if (inv.empty()) inv = "-";
+      if (inv.empty()) inv += '-';
       table.add_row({s.name,
                      s.family.empty() ? family->name() : s.family.label(),
                      Table::fmt(s.invariants.availability_floor, 4),
