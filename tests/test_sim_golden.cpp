@@ -10,44 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "core/constructions.h"
 #include "core/masking.h"
 #include "faults/chaos.h"
+#include "golden_digest.h"
 #include "obs/recorder.h"
 #include "sim/harness.h"
 #include "sim/store.h"
 
 namespace sqs {
 namespace {
-
-// FNV-1a over the little-endian bytes of each folded value.
-class Digest {
- public:
-  void u64(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (x >> (8 * i)) & 0xFFu;
-      h_ *= 0x100000001B3ull;
-    }
-  }
-  void i64(long x) { u64(static_cast<std::uint64_t>(x)); }
-  void f64(double x) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &x, sizeof bits);
-    u64(bits);
-  }
-  void stat(const RunningStat& s) {
-    u64(s.count());
-    f64(s.mean());
-    f64(s.variance());
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ull;
-};
 
 void fold(Digest& d, const RegisterExperimentResult& r) {
   for (long x : {r.reads_attempted, r.reads_ok, r.writes_attempted,
