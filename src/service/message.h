@@ -17,7 +17,11 @@
 // (ServiceReplica::ReadServed) by the replica *over its true stored state*.
 // A Byzantine replica can corrupt the (ts, value) it reports but cannot
 // forge a certificate for the fabricated contents, so cert verification in
-// the runner strips lies off the quorum path before they can vote. The
+// the runner strips lies off the quorum path before they can vote. A
+// replica's stored state changes far less often than it is read, so both
+// sides go through a ReplicaCertMemo: the replica signs each stored state
+// once, and the runner recomputes a replica's cert only when the reported
+// (ts, value) differs from the last one it checked for that replica. The
 // "HMAC" is a keyed-FNV stand-in with the same interface shape as the real
 // thing; only unforgeability-in-model matters here, not cryptography.
 //
@@ -133,6 +137,39 @@ std::uint32_t request_cert(const Request& req);
 // it reports but cannot sign the fabrication.
 std::uint32_t replica_cert(int replica, const Timestamp& ts,
                            std::uint64_t value);
+
+// A one-entry cache of replica_cert keyed by its full input: cert_for
+// returns replica_cert(replica, ts, value), recomputing it only when the
+// input differs from the previous call's. Because the key is the whole
+// input, the answer is right whatever changed in between — a write, a state
+// transfer, an amnesia wipe, or a liar's fabricated contents. A verifier
+// compares the reply's cert with cert_for(...) on every reply, hit or miss;
+// a hit skips only the recomputation, never the comparison.
+class ReplicaCertMemo {
+ public:
+  std::uint32_t cert_for(int replica, const Timestamp& ts,
+                         std::uint64_t value) {
+    if (computed_ == 0 || replica != replica_ || !(ts == ts_) ||
+        value != value_) {
+      replica_ = replica;
+      ts_ = ts;
+      value_ = value;
+      cert_ = replica_cert(replica, ts, value);
+      ++computed_;
+    }
+    return cert_;
+  }
+
+  // Full replica_cert computations so far (cache misses).
+  std::uint64_t computed() const { return computed_; }
+
+ private:
+  int replica_ = 0;
+  Timestamp ts_;
+  std::uint64_t value_ = 0;
+  std::uint32_t cert_ = 0;
+  std::uint64_t computed_ = 0;  // 0 also means "no entry yet"
+};
 
 // Encoders write exactly kRequestWireSize / kReplyWireSize bytes at `out`.
 // encode_request signs with the request's client key; encode_reply signs

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "service/message.h"
-
 namespace sqs {
 
 double ServiceReplica::begin_service(double now, double qnow) {
@@ -24,7 +22,7 @@ std::optional<ServiceReplica::ReadServed> ServiceReplica::serve_read(
   const double done = now + begin_service(now, qnow);
   // The certificate always signs the TRUE stored state — a lie corrupts
   // only the reported fields (unforgeable signatures).
-  const std::uint32_t cert = replica_cert(id(), cell->ts, cell->value);
+  const std::uint32_t cert = signer_.cert_for(id(), cell->ts, cell->value);
   const auto [ts, value] = reported(*cell, now, client);
   return ReadServed{done, ts, value, cert};
 }

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "service/message.h"
 #include "sim/server.h"
 
 namespace sqs {
@@ -37,6 +38,7 @@ class ServiceReplica : public Replica {
     // service/message.h replica_cert. While lying, ts/value above may be
     // fabricated but the cert still signs the genuine state (signatures are
     // unforgeable in-model), so a verifying runner catches the mismatch.
+    // Signed once per stored state: reads of an unchanged cell reuse it.
     std::uint32_t cert = 0;
   };
 
@@ -68,6 +70,8 @@ class ServiceReplica : public Replica {
   double backlog(double now) const {
     return busy_until_ > now ? busy_until_ - now : 0.0;
   }
+  // Full replica_cert computations this replica has made to sign reads.
+  std::uint64_t certs_signed() const { return signer_.computed(); }
 
  private:
   // Returns the queue wait + service span to add after `now`; advances the
@@ -76,6 +80,9 @@ class ServiceReplica : public Replica {
 
   double busy_until_ = 0.0;
   double busy_seconds_ = 0.0;
+  // Keyed on the served cell's contents, so no mutation path needs to
+  // invalidate it.
+  ReplicaCertMemo signer_;
 };
 
 }  // namespace sqs

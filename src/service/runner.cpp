@@ -27,6 +27,10 @@ struct ServiceMetrics {
       obs::Registry::instance().counter("service.cert_rejects");
   obs::Counter fabricated_reads =
       obs::Registry::instance().counter("service.fabricated_reads");
+  obs::Counter certs_signed =
+      obs::Registry::instance().counter("service.replica_cert.signed");
+  obs::Counter certs_verified =
+      obs::Registry::instance().counter("service.replica_cert.verified");
   obs::Counter faults_injected =
       obs::Registry::instance().counter("service.faults.injected");
   obs::Histogram op_latency_us = obs::Registry::instance().histogram(
@@ -109,6 +113,7 @@ ServiceRunner::ServiceRunner(const QuorumFamily& family,
   for (int i = 0; i < world; ++i)
     replicas_.emplace_back(i, config.server, server_base.split(
                                                  static_cast<std::uint64_t>(i)));
+  verifiers_.resize(static_cast<std::size_t>(world));
   if (config_.epochs != nullptr) {
     const EpochedFamily& sched = *config_.epochs;
     assert(sched.entry(0).family->universe_size() == family.universe_size());
@@ -248,8 +253,10 @@ Reply ServiceRunner::execute_op(const Request& req) {
         ++totals_.epoch_rejects;
         op_.fence(p, us(t0), replica.epoch());
       } else if (rtt && (!config_.verify_replica_certs ||
-                         served->cert == replica_cert(p.replica, served->ts,
-                                                      served->value))) {
+                         served->cert ==
+                             verifiers_[static_cast<std::size_t>(p.replica)]
+                                 .cert_for(p.replica, served->ts,
+                                           served->value))) {
         op_.reply(p, us(t0), us(t - t0), served->ts, served->value,
                   replica.retired(), replica.epoch());
       } else {
@@ -458,6 +465,12 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
     totals_.decode_failures += decode_fail[b];
     totals_.cert_rejects += cert_fail[b];
   }
+  totals_.replica_certs_signed = 0;
+  for (const ServiceReplica& r : replicas_)
+    totals_.replica_certs_signed += r.certs_signed();
+  totals_.replica_certs_verified = 0;
+  for (const ReplicaCertMemo& v : verifiers_)
+    totals_.replica_certs_verified += v.computed();
 
   ServiceResult result = totals_;
   result.current_epoch = current_epoch_;
@@ -499,6 +512,10 @@ ServiceResult ServiceRunner::serve(const std::vector<std::uint8_t>& requests,
   metrics.cert_rejects.add(totals_.cert_rejects - before.cert_rejects);
   metrics.fabricated_reads.add(totals_.fabricated_reads -
                                before.fabricated_reads);
+  metrics.certs_signed.add(totals_.replica_certs_signed -
+                           before.replica_certs_signed);
+  metrics.certs_verified.add(totals_.replica_certs_verified -
+                             before.replica_certs_verified);
 
   if (replies_out != nullptr) *replies_out = std::move(encoded);
   return result;

@@ -119,6 +119,11 @@ struct ServiceResult {
   // replicas; zero under liars too when cert verification and/or a masking
   // lie_tolerance filters them.
   std::uint64_t fabricated_reads = 0;
+  // Full replica_cert computations: replicas signing reads, and the runner
+  // verifying replies. Each side memoizes the cert of the last (ts, value)
+  // it saw per replica, so these count state changes, not probes.
+  std::uint64_t replica_certs_signed = 0;
+  std::uint64_t replica_certs_verified = 0;
   // --- Epoch reconfiguration (zero without config.epochs) -----------------
   std::uint64_t epoch_transitions = 0;  // schedule entries applied
   std::uint64_t view_refreshes = 0;     // view fetches (retry + async)
@@ -191,6 +196,8 @@ class ServiceRunner {
   ServiceConfig config_;
   Transport transport_;
   std::vector<ServiceReplica> replicas_;
+  // One replica-cert memo per replica for verifying its replies.
+  std::vector<ReplicaCertMemo> verifiers_;
   Rng op_rng_base_;
 
   // Fault timeline, sorted by time; cursor advances with the arrivals.

@@ -234,6 +234,40 @@ TEST(ServiceWire, ReplicaCertBindsReplicaAndState) {
   EXPECT_EQ(replica_cert(1, ts, 99), cert);        // deterministic
 }
 
+TEST(ServiceWire, ReplicaCertMemoMatchesReplicaCert) {
+  // Repeats and single-field changes over small ranges, so inputs recur
+  // and each field alone (replica, ts.counter, ts.writer, value) flips a
+  // hit into a miss: the memo must always answer replica_cert and must
+  // recompute exactly when the input differs from the previous call's.
+  Rng rng(2024);
+  ReplicaCertMemo memo;
+  int replica = 0;
+  Timestamp ts;
+  std::uint64_t value = 0;
+  std::uint64_t changes = 0;
+  constexpr int kCalls = 4000;
+  for (int i = 0; i < kCalls; ++i) {
+    const int prev_replica = replica;
+    const Timestamp prev_ts = ts;
+    const std::uint64_t prev_value = value;
+    switch (rng.next_below(5)) {
+      case 0: break;  // repeat
+      case 1: replica = static_cast<int>(rng.next_below(3)); break;
+      case 2: ts.counter = rng.next_below(4); break;
+      case 3: ts.writer = static_cast<int>(rng.next_below(4)) - 1; break;
+      case 4: value = rng.next_below(4); break;
+    }
+    if (i == 0 || replica != prev_replica || !(ts == prev_ts) ||
+        value != prev_value)
+      ++changes;
+    ASSERT_EQ(memo.cert_for(replica, ts, value),
+              replica_cert(replica, ts, value))
+        << "call " << i;
+    ASSERT_EQ(memo.computed(), changes) << "call " << i;
+  }
+  EXPECT_LT(changes, static_cast<std::uint64_t>(kCalls));  // repeats happened
+}
+
 // --- flag parsing -----------------------------------------------------------
 
 TEST(ServiceFlags, ParsePositiveDoubleAccepts) {
@@ -355,6 +389,60 @@ TEST(ServiceReplicaTest, ForcedCrashDropsRequests) {
   EXPECT_EQ(r.dropped_requests(), 2u);
   EXPECT_TRUE(r.up(6.5));
   EXPECT_TRUE(r.serve_read(0, 6.5, 6.5).has_value());
+}
+
+TEST(ServiceReplicaTest, CertSignsTrueStateAfterEveryMutation) {
+  // Every path that changes (or pointedly does not change) the served cell
+  // — a write, a state transfer, a fabricated ack, each read-lie window and
+  // an amnesia wipe — must leave the next read's cert signing the cell's
+  // true contents, whatever the reply reports.
+  ServerConfig config = reliable_server();
+  config.mean_up = 5.0;
+  config.mean_down = 1.0;
+  config.amnesia_on_recovery = true;
+  ServiceReplica r(3, config, Rng(11));
+  r.force_up(0.0, 1e6);  // every read is served; wipes still happen
+  double now = 0.0;
+  const auto served_cert = [&](int client) {
+    now += 0.0001;
+    const auto served = r.serve_read(0, now, now, client);
+    EXPECT_TRUE(served.has_value());
+    return served ? served->cert : 0u;
+  };
+  const auto true_cert = [&] {
+    return replica_cert(r.id(), r.timestamp(0), r.value(0));
+  };
+
+  EXPECT_EQ(served_cert(0), true_cert()) << "unwritten";
+  ASSERT_TRUE(r.serve_write(Timestamp{1, 0}, 11, 0, now, now));
+  EXPECT_EQ(served_cert(0), true_cert()) << "after serve_write";
+  ASSERT_TRUE(r.timestamp(0) == (Timestamp{1, 0}));
+  r.adopt_state(Timestamp{2, 3}, 22, 0);
+  EXPECT_EQ(served_cert(0), true_cert()) << "after adopt_state";
+  ASSERT_TRUE(r.timestamp(0) == (Timestamp{2, 3}));
+  r.set_lie(LieMode::kFabricateAck, now, 0.001);
+  ASSERT_TRUE(r.serve_write(Timestamp{3, 0}, 33, 0, now, now));
+  EXPECT_EQ(served_cert(0), true_cert()) << "after a fabricated ack";
+  ASSERT_TRUE(r.timestamp(0) == (Timestamp{2, 3}));  // the ack was a lie
+  for (const LieMode mode :
+       {LieMode::kWrongValue, LieMode::kStaleTs, LieMode::kEquivocate}) {
+    r.set_lie(mode, now, 0.001);
+    const std::uint64_t lies = r.lies_told();
+    EXPECT_EQ(served_cert(1), true_cert()) << lie_mode_name(mode);
+    EXPECT_EQ(r.lies_told(), lies + 1) << lie_mode_name(mode);
+  }
+  r.set_lie(LieMode::kNone, now, 0.0);
+  EXPECT_EQ(served_cert(0), true_cert()) << "after the lie windows";
+
+  // Run the hidden failure process until a recovery wipes the cell.
+  while (!(r.timestamp(0) == Timestamp{})) {
+    now += 0.01;
+    ASSERT_LT(now, 1000.0);
+    r.up(now);
+  }
+  EXPECT_EQ(served_cert(0), true_cert()) << "after an amnesia wipe";
+  EXPECT_EQ(true_cert(), replica_cert(r.id(), Timestamp{}, 0));
+  EXPECT_LT(r.certs_signed(), 10u);  // repeated reads reused the cert
 }
 
 TEST(ServiceReplicaTest, GraySlowdownInflatesServiceTime) {
@@ -560,6 +648,52 @@ TEST(ServiceByzantine, MaskingVoteAloneStopsFabrications) {
   EXPECT_EQ(r.fabricated_reads, 0u);
   EXPECT_EQ(r.lost_acked_writes, 0u);
   EXPECT_GT(r.reads_ok, 0u);
+}
+
+TEST(ServiceByzantine, StaleReplayOfVerifiedStateIsRejected) {
+  // Replica 0 (OPT_d's first probe, so every op reads it) is read while
+  // unwritten, then written, then lies kStaleTs: it reports the ({}, 0) the
+  // runner already verified from it, under the cert of its newer true
+  // state. A verifier that trusted a remembered (ts, value) without
+  // comparing the cert would accept the replay; every lie must instead be a
+  // cert reject. Links and replicas never fail and the timeout is far away,
+  // so each lie reaches the verifier.
+  const OptDFamily family(12, 2);
+  ServiceConfig config = service_config();
+  config.num_clients = 4;
+  config.server = reliable_server();
+  config.network.link_mean_up = 1e12;
+  config.network.link_mean_down = 1e-9;
+  config.probe_timeout = 5.0;
+  config.plan.lie(1.0, 0, LieMode::kStaleTs, 2.0);
+
+  std::vector<std::uint8_t> requests;
+  const auto add = [&requests](std::uint64_t arrival_us, OpKind kind,
+                               std::uint64_t value) {
+    Request req;
+    req.seq = requests.size() / kRequestWireSize;
+    req.arrival_us = arrival_us;
+    req.client = static_cast<std::uint32_t>(req.seq % 4);
+    req.kind = kind;
+    req.value = value;
+    requests.resize(requests.size() + kRequestWireSize);
+    encode_request(req, requests.data() + req.seq * kRequestWireSize);
+  };
+  add(100000, OpKind::kRead, 0);     // replica 0 verified at ({}, 0)
+  add(300000, OpKind::kWrite, 42);   // replica 0 now holds the write
+  for (std::uint64_t i = 0; i < 20; ++i)
+    add(1100000 + 50000 * i, OpKind::kRead, 0);  // inside the lie window
+
+  ServiceRunner runner(family, config);
+  const ServiceResult r = runner.serve(requests);
+  ASSERT_EQ(r.writes_ok, 1u);
+  ASSERT_EQ(runner.replica(0).timestamp(0).counter, 1u);
+  EXPECT_EQ(r.net_dropped, 0u);
+  EXPECT_EQ(r.replica_dropped, 0u);
+  EXPECT_EQ(r.reads_ok, 21u);
+  EXPECT_EQ(runner.replica(0).lies_told(), 20u);
+  EXPECT_EQ(r.cert_rejects, runner.replica(0).lies_told());
+  EXPECT_EQ(r.fabricated_reads, 0u);
 }
 
 TEST(ServiceByzantine, BitIdenticalAcrossThreadCounts) {

@@ -837,6 +837,9 @@ int cmd_serve(const Args& args) {
   table.add_row({"replica drops", std::to_string(r.replica_dropped)});
   table.add_row({"ts regressions", std::to_string(r.ts_regressions)});
   table.add_row({"cert rejects", std::to_string(r.cert_rejects)});
+  table.add_row({"replica certs signed", std::to_string(r.replica_certs_signed)});
+  table.add_row(
+      {"replica certs verified", std::to_string(r.replica_certs_verified)});
   table.add_row({"fabricated reads", std::to_string(r.fabricated_reads)});
   table.add_row({"lost acked writes", std::to_string(r.lost_acked_writes)});
   if (config.epochs != nullptr) {
